@@ -3,7 +3,7 @@ package fairrank
 import (
 	"context"
 	"errors"
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,14 +12,13 @@ import (
 	"fairrank/internal/geom"
 	"fairrank/internal/obs"
 	"fairrank/internal/planner"
+	"fairrank/internal/service"
 )
 
 // BatchResult is one slot of a SuggestBatch answer: exactly one of
-// Suggestion and Err is set.
-type BatchResult struct {
-	Suggestion *Suggestion
-	Err        error
-}
+// Suggestion and Err is set. Like Suggestion, it is the serving layer's own
+// result type, so a batch reaches the HTTP encoder without re-boxing.
+type BatchResult = service.Result
 
 // scratchPool recycles per-worker batch arenas (ranking buffers, polar
 // scratch, resumable-kernel cursors) across SuggestBatch calls, so
@@ -75,7 +74,7 @@ func (d *Designer) SuggestBatchCtx(ctx context.Context, queries [][]float64) []B
 	start := time.Now()
 	sp = rec.Start("kernel")
 	hits := d.runKernel(raw, kernelQs, &p)
-	sp.EndNote(fmt.Sprintf("queries=%d resume_hits=%d", len(kernelQs), hits))
+	sp.EndNote(kernelNote(len(kernelQs), hits))
 	d.plan.Observe(&p, len(kernelQs), float64(time.Since(start).Nanoseconds()), hits)
 
 	if p.PassThrough() {
@@ -84,6 +83,14 @@ func (d *Designer) SuggestBatchCtx(ctx context.Context, queries [][]float64) []B
 		d.scatterPlanned(results, raw, &p)
 	}
 	return results
+}
+
+// kernelNote is the "kernel" span's annotation, "queries=n resume_hits=k",
+// built in a stack buffer so it costs one allocation whatever n and k are.
+func kernelNote(queries int, hits int64) string {
+	var buf [64]byte
+	b := strconv.AppendInt(append(buf[:0], "queries="...), int64(queries), 10)
+	return string(strconv.AppendInt(append(b, " resume_hits="...), hits, 10))
 }
 
 // runKernel executes the engine kernel over the scheduled queries per the
@@ -149,7 +156,7 @@ func convertResults(results []BatchResult, raw []engine.Result) {
 		sug := &arena[i]
 		sug.Weights = r.Weights
 		sug.Distance = r.Distance
-		sug.AlreadyFair = r.Distance == 0
+		sug.AlreadyFair = r.AlreadyFair
 		results[i].Suggestion = sug
 	}
 }
@@ -183,7 +190,7 @@ func (d *Designer) scatterPlanned(results []BatchResult, raw []engine.Result, p 
 		sug := &arena[i]
 		sug.Weights = w
 		sug.Distance = r.Distance
-		sug.AlreadyFair = r.Distance == 0
+		sug.AlreadyFair = r.AlreadyFair
 		results[i].Suggestion = sug
 	}
 }

@@ -2,9 +2,9 @@
 // (§6). Each Benchmark corresponds to one experiment; custom metrics
 // (exchanges, regions, hyperplanes, marked cells, oracle calls) report the
 // series the paper plots alongside wall-clock time. cmd/experiments prints
-// the same data as formatted tables; EXPERIMENTS.md records paper-vs-
-// measured. Sizes here are reduced so the full suite finishes in minutes —
-// the cmd/experiments -full flag reproduces paper-scale runs.
+// the same data as formatted tables. Sizes here are reduced so the full
+// suite finishes in minutes — the cmd/experiments -full flag reproduces
+// paper-scale runs.
 package fairrank_test
 
 import (

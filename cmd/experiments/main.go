@@ -3,7 +3,7 @@
 // Each experiment prints the same series the paper plots; absolute times
 // differ from the paper's Python-on-2017-laptop numbers, but the shapes
 // (scaling in n, d and N; online ≪ ordering; tree ≫ linear scan) are the
-// reproduction targets. See EXPERIMENTS.md for the paper-vs-measured log.
+// reproduction targets.
 //
 // Usage:
 //

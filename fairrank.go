@@ -46,6 +46,7 @@ import (
 	"fairrank/internal/geom"
 	"fairrank/internal/planner"
 	"fairrank/internal/ranking"
+	"fairrank/internal/service"
 )
 
 // Dataset is a collection of items with numeric scoring attributes and
@@ -199,18 +200,19 @@ var ErrUnsatisfiable = errors.New("fairrank: no satisfactory ranking function ex
 // Deprecated: no fairrank API returns this error.
 var ErrUnsupportedMode = errors.New("fairrank: operation not supported by this engine mode")
 
-// Suggestion is the answer to a design query.
-type Suggestion struct {
-	// Weights is a satisfactory weight vector: the query itself when it
-	// was already fair, otherwise the closest satisfactory function found,
-	// scaled to the query's magnitude.
-	Weights []float64
-	// Distance is the angular distance (radians) between query and answer;
-	// 0 when AlreadyFair.
-	Distance float64
-	// AlreadyFair reports that the query satisfied the oracle unmodified.
-	AlreadyFair bool
-}
+// Suggestion is the answer to a design query: Weights (the query itself
+// when it was already fair, otherwise the closest satisfactory function
+// found, scaled to the query's magnitude), Distance (the angular distance
+// between query and answer, 0 when AlreadyFair), and AlreadyFair (the
+// engine's verdict that the query satisfied the oracle unmodified). The
+// serving layers carry this same type from the library to the HTTP
+// encoder, so no answer is re-boxed on the way.
+type Suggestion = service.Suggestion
+
+// ErrNonFiniteWeights is returned (by Suggest, and per slot by SuggestBatch)
+// for a query with a NaN or infinite weight, or whose norm overflows to
+// +Inf. Every engine rejects such a query the same way.
+var ErrNonFiniteWeights = engine.ErrNonFinite
 
 // Designer is the query-answering system: built once offline over a dataset
 // and an oracle, then queried interactively. All query paths delegate to one
@@ -284,14 +286,11 @@ func (d *Designer) Rank(w []float64) ([]int, error) {
 // already fair, the closest satisfactory alternative otherwise, or
 // ErrUnsatisfiable when no fair linear function exists at all.
 func (d *Designer) Suggest(w []float64) (*Suggestion, error) {
-	out, dist, err := d.eng.Suggest(geom.Vector(w))
-	if err != nil {
-		if errors.Is(err, engine.ErrUnsatisfiable) {
-			err = ErrUnsatisfiable
-		}
-		return nil, err
+	r := d.eng.Suggest(geom.Vector(w))
+	if r.Err != nil {
+		return nil, publicErr(r.Err)
 	}
-	return &Suggestion{Weights: out, Distance: dist, AlreadyFair: dist == 0}, nil
+	return &Suggestion{Weights: r.Weights, Distance: r.Distance, AlreadyFair: r.AlreadyFair}, nil
 }
 
 // QualityBound returns the engine's additive approximation bound on Suggest

@@ -61,28 +61,6 @@ import (
 // request carrying the X-Fairrank-Forwarded header is always handled
 // locally, so disagreeing ring views bounce a request at most once.
 
-// suggestRequest is the body of POST /v1/designers/{id}/suggest: exactly one
-// of Weights (single query) and Batch (many queries) must be set.
-type suggestRequest struct {
-	Weights []float64   `json:"weights,omitempty"`
-	Batch   [][]float64 `json:"batch,omitempty"`
-}
-
-// suggestionJSON is one answered query.
-type suggestionJSON struct {
-	Weights     []float64 `json:"weights,omitempty"`
-	Distance    float64   `json:"distance"`
-	AlreadyFair bool      `json:"already_fair"`
-	Error       string    `json:"error,omitempty"`
-}
-
-func toSuggestionJSON(s *Suggestion, err error) suggestionJSON {
-	if err != nil {
-		return suggestionJSON{Error: err.Error()}
-	}
-	return suggestionJSON{Weights: s.Weights, Distance: s.Distance, AlreadyFair: s.AlreadyFair}
-}
-
 // Handler returns the HTTP API, wrapped in the tracing middleware. It is
 // safe to mount alongside other routes.
 func (s *Server) Handler() http.Handler { return s.handler }
@@ -143,14 +121,25 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// writeJSON encodes v before committing the status, so a value encoding/json
+// cannot represent turns into a 500 with the reason instead of the status
+// code with an empty body. The body is what json.Encoder writes: the
+// encoding plus a newline.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(append(b, '\n'))
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(appendErrorBody(nil, err.Error()))
 }
 
 // errorStatus maps serving errors onto HTTP status codes. Revalidate used to
@@ -173,7 +162,7 @@ func errorStatus(err error) int {
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
 		return false
@@ -181,10 +170,24 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// maxBodyBytes bounds every request body.
+const maxBodyBytes = 64 << 20
+
 // readBody buffers the (bounded) request body so handlers can both decode it
-// locally and hand the identical bytes to a forward or replication call.
+// locally and hand the identical bytes to a forward or replication call. A
+// body with a declared length is read into one buffer of exactly that size
+// (the server frames the body by Content-Length), instead of the doubling
+// growth of io.ReadAll.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	var raw []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= maxBodyBytes {
+		raw = make([]byte, n)
+		_, err = io.ReadFull(body, raw)
+	} else {
+		raw, err = io.ReadAll(body)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
 		return nil, false
@@ -455,34 +458,46 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	if s.routeSuggest(w, r, id, body) {
 		return
 	}
-	var req suggestRequest
-	if !decodeRaw(w, body, &req) {
+	req, ok := readSuggestRequest(w, body)
+	if !ok {
 		return
 	}
-	switch {
-	case req.Weights != nil && req.Batch != nil:
-		writeError(w, http.StatusBadRequest, errors.New(`"weights" and "batch" are mutually exclusive`))
-	case req.Weights != nil:
+	if req.Weights != nil {
 		sug, err := s.suggestCtx(r.Context(), id, req.Weights)
 		if err != nil {
 			writeError(w, errorStatus(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, toSuggestionJSON(sug, nil))
-	case req.Batch != nil:
-		results, err := s.suggestBatchCtx(r.Context(), id, req.Batch)
-		if err != nil {
-			writeError(w, errorStatus(err), err)
-			return
-		}
-		out := make([]suggestionJSON, len(results))
-		for i, res := range results {
-			out[i] = toSuggestionJSON(res.Suggestion, res.Err)
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"results": out})
-	default:
-		writeError(w, http.StatusBadRequest, errors.New(`body needs "weights" or "batch"`))
+		sp = rec.Start("encode")
+		writeSuggestion(w, sug)
+		sp.End()
+		return
 	}
+	results, err := s.suggestBatchCtx(r.Context(), id, req.Batch)
+	if err != nil {
+		writeError(w, errorStatus(err), err)
+		return
+	}
+	sp = rec.Start("encode")
+	writeResults(w, results)
+	sp.End()
+}
+
+// readSuggestRequest decodes a suggest body that holds exactly one of
+// "weights" and "batch", answering 400 itself otherwise.
+func readSuggestRequest(w http.ResponseWriter, body []byte) (suggestRequest, bool) {
+	req, err := decodeSuggest(body)
+	switch {
+	case err != nil:
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
+	case req.Weights != nil && req.Batch != nil:
+		writeError(w, http.StatusBadRequest, errors.New(`"weights" and "batch" are mutually exclusive`))
+	case req.Weights == nil && req.Batch == nil:
+		writeError(w, http.StatusBadRequest, errors.New(`body needs "weights" or "batch"`))
+	default:
+		return req, true
+	}
+	return req, false
 }
 
 func (s *Server) handleRevalidate(w http.ResponseWriter, r *http.Request) {

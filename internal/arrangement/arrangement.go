@@ -103,11 +103,39 @@ func (a *Arrangement) NumRegions() int { return len(a.regions) }
 
 // Constraints materializes a region's half-space constraints.
 func (a *Arrangement) Constraints(r *Region) []lp.Constraint {
-	cons := make([]lp.Constraint, 0, len(r.Sides))
-	for _, sh := range r.Sides {
-		cons = append(cons, constraint(a.Hyperplanes[sh.H], sh.S))
-	}
+	cons, _ := a.ConstraintsInto(make([]lp.Constraint, 0, len(r.Sides)), nil, r)
 	return cons
+}
+
+// ConstraintsInto is Constraints into caller buffers: the region's
+// constraints overwrite cons, the negated coefficient rows of its Above
+// sides overwrite coef, and both buffers are returned (grown when they were
+// short) for the next call. The constraints alias the arrangement's
+// hyperplanes and coef, and are valid until the buffers are reused.
+func (a *Arrangement) ConstraintsInto(cons []lp.Constraint, coef []float64, r *Region) ([]lp.Constraint, []float64) {
+	need := 0
+	for _, sh := range r.Sides {
+		if sh.S != geom.Below {
+			need += len(a.Hyperplanes[sh.H].Coef)
+		}
+	}
+	if cap(coef) < need {
+		coef = make([]float64, 0, need)
+	}
+	cons, coef = cons[:0], coef[:0]
+	for _, sh := range r.Sides {
+		h := a.Hyperplanes[sh.H]
+		if sh.S == geom.Below {
+			cons = append(cons, constraint(h, sh.S))
+			continue
+		}
+		off := len(coef)
+		for _, c := range h.Coef {
+			coef = append(coef, -c)
+		}
+		cons = append(cons, lp.Constraint{A: coef[off:len(coef):len(coef)], B: -1})
+	}
+	return cons, coef
 }
 
 // Insert adds a hyperplane to the arrangement, splitting every region whose

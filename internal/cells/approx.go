@@ -181,25 +181,8 @@ func (a *Approx) Satisfiable() bool { return a.MarkStats.Marked > 0 }
 // angular distance from the query. By Theorem 6 that distance exceeds the
 // optimum by at most 4·arcsin(√(d−1)/2 · (η/N)^{1/(d−1)}).
 func (a *Approx) Query(w geom.Vector) (geom.Vector, float64, error) {
-	if len(w) != a.DS.D() {
-		return nil, 0, fmt.Errorf("cells: query dimension %d, want %d", len(w), a.DS.D())
-	}
-	order, err := orderForOracle(a.DS, w, fairness.InspectionDepth(a.Oracle))
-	if err != nil {
-		return nil, 0, err
-	}
-	if a.Oracle.Check(order) {
-		return w.Clone(), 0, nil
-	}
-	r, q, err := geom.ToPolar(w)
-	if err != nil {
-		return nil, 0, err
-	}
-	bestF, dist := a.bestStored(q, false, nil, geom.AngleDistance)
-	if bestF == nil {
-		return nil, 0, ErrUnsatisfiable
-	}
-	return bestF.ToCartesian(r), dist, nil
+	out, dist, _, err := a.query(w, false)
+	return out, dist, err
 }
 
 // QueryRefined is Query plus a cheap neighbor refinement: besides the
@@ -209,25 +192,36 @@ func (a *Approx) Query(w geom.Vector) (geom.Vector, float64, error) {
 // CELLCOLORING's nearest-seed heuristic leaves (see the abl-refine
 // experiment).
 func (a *Approx) QueryRefined(w geom.Vector) (geom.Vector, float64, error) {
+	out, dist, _, err := a.query(w, true)
+	return out, dist, err
+}
+
+// query is Query (refine false) or QueryRefined (refine true), also
+// reporting the oracle's verdict on the query itself.
+func (a *Approx) query(w geom.Vector, refine bool) (out geom.Vector, dist float64, fair bool, err error) {
 	if len(w) != a.DS.D() {
-		return nil, 0, fmt.Errorf("cells: query dimension %d, want %d", len(w), a.DS.D())
+		return nil, 0, false, fmt.Errorf("cells: query dimension %d, want %d", len(w), a.DS.D())
 	}
 	order, err := orderForOracle(a.DS, w, fairness.InspectionDepth(a.Oracle))
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, false, err
 	}
 	if a.Oracle.Check(order) {
-		return w.Clone(), 0, nil
+		return w.Clone(), 0, true, nil
 	}
 	r, q, err := geom.ToPolar(w)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, false, err
 	}
-	bestF, best := a.bestStored(q, true, q.Clone(), geom.AngleDistance)
+	var probe geom.Angles
+	if refine {
+		probe = q.Clone()
+	}
+	bestF, best := a.bestStored(q, refine, probe, geom.AngleDistance)
 	if bestF == nil {
-		return nil, 0, ErrUnsatisfiable
+		return nil, 0, false, ErrUnsatisfiable
 	}
-	return bestF.ToCartesian(r), best, nil
+	return bestF.ToCartesian(r), best, false, nil
 }
 
 // bestStored is the one copy of the cell-probe policy shared by the scalar

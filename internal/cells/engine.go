@@ -27,21 +27,20 @@ func (e approxEngine) ModeName() string      { return "approx" }
 func (e approxEngine) Satisfiable() bool     { return e.a.Satisfiable() }
 func (e approxEngine) QualityBound() float64 { return e.a.Theorem6Bound() }
 
-func (e approxEngine) Suggest(w geom.Vector) (geom.Vector, float64, error) {
-	var (
-		out  geom.Vector
-		dist float64
-		err  error
-	)
-	if e.refine {
-		out, dist, err = e.a.QueryRefined(w)
-	} else {
-		out, dist, err = e.a.Query(w)
+func (e approxEngine) Suggest(w geom.Vector) engine.Result {
+	if len(w) == e.a.DS.D() {
+		if err := engine.CheckFinite(w); err != nil {
+			return engine.Result{Err: err}
+		}
 	}
-	if errors.Is(err, ErrUnsatisfiable) {
-		err = engine.ErrUnsatisfiable
+	out, dist, fair, err := e.a.query(w, e.refine)
+	if err != nil {
+		if errors.Is(err, ErrUnsatisfiable) {
+			err = engine.ErrUnsatisfiable
+		}
+		return engine.Result{Err: err}
 	}
-	return out, dist, err
+	return engine.Result{Weights: out, Distance: dist, AlreadyFair: fair}
 }
 
 // SuggestBatch is the grid-engine arena kernel: the fairness check ranks
@@ -61,6 +60,10 @@ func (e approxEngine) SuggestBatch(dst []engine.Result, queries []geom.Vector, s
 			dst[i] = engine.Result{Err: fmt.Errorf("cells: query dimension %d, want %d", len(q), d)}
 			continue
 		}
+		if err := engine.CheckFinite(q); err != nil {
+			dst[i] = engine.Result{Err: err}
+			continue
+		}
 		fair, err := s.CheckFair(a.DS, a.Oracle, q, depth)
 		if err != nil {
 			dst[i] = engine.Result{Err: err}
@@ -69,7 +72,7 @@ func (e approxEngine) SuggestBatch(dst []engine.Result, queries []geom.Vector, s
 		out := geom.Vector(arena[d*i : d*(i+1) : d*(i+1)])
 		if fair {
 			copy(out, q)
-			dst[i] = engine.Result{Weights: out}
+			dst[i] = engine.Result{Weights: out, AlreadyFair: true}
 			continue
 		}
 		r, qa, err := geom.ToPolarInto(q, s.Angles(d-1))
@@ -118,6 +121,10 @@ func (e approxEngine) SuggestBatchSorted(dst []engine.Result, queries []geom.Vec
 			dst[i] = engine.Result{Err: fmt.Errorf("cells: query dimension %d, want %d", len(q), d)}
 			continue
 		}
+		if err := engine.CheckFinite(q); err != nil {
+			dst[i] = engine.Result{Err: err}
+			continue
+		}
 		fair, err := s.CheckFair(a.DS, a.Oracle, q, depth)
 		if err != nil {
 			dst[i] = engine.Result{Err: err}
@@ -126,7 +133,7 @@ func (e approxEngine) SuggestBatchSorted(dst []engine.Result, queries []geom.Vec
 		out := geom.Vector(arena[d*i : d*(i+1) : d*(i+1)])
 		if fair {
 			copy(out, q)
-			dst[i] = engine.Result{Weights: out}
+			dst[i] = engine.Result{Weights: out, AlreadyFair: true}
 			continue
 		}
 		r, qa, err := geom.ToPolarInto(q, s.Angles(d-1))

@@ -26,21 +26,40 @@ func (e mdEngine) ModeName() string      { return "exact" }
 func (e mdEngine) Satisfiable() bool     { return e.idx.Satisfiable() }
 func (e mdEngine) QualityBound() float64 { return 0 }
 
-func (e mdEngine) Suggest(w geom.Vector) (geom.Vector, float64, error) {
-	out, dist, err := e.idx.Baseline(w)
-	if errors.Is(err, ErrUnsatisfiable) {
-		err = engine.ErrUnsatisfiable
+func (e mdEngine) Suggest(w geom.Vector) engine.Result {
+	if len(w) == e.idx.DS.D() {
+		if err := engine.CheckFinite(w); err != nil {
+			return engine.Result{Err: err}
+		}
 	}
-	return out, dist, err
+	out, dist, fair, err := e.idx.baseline(w)
+	if err != nil {
+		return engine.Result{Err: engineErr(err)}
+	}
+	return engine.Result{Weights: out, Distance: dist, AlreadyFair: fair}
+}
+
+// engineErr maps the package sentinel onto the engine-level one.
+func engineErr(err error) error {
+	if errors.Is(err, ErrUnsatisfiable) {
+		return engine.ErrUnsatisfiable
+	}
+	return err
 }
 
 // SuggestBatch is the exact-engine arena kernel. The fairness check — the
 // whole cost of the common already-fair query — ranks through the worker's
 // shared scratch buffers (the partial ordering when the oracle's inspection
 // depth is known, which by the InspectionDepth contract gives the identical
-// verdict to Baseline's full sort), and fair answers are carved out of one
-// per-chunk arena. Unfair queries fall through to the per-region NLP solves,
-// whose cost dwarfs their allocations.
+// verdict to Baseline's full sort). Unfair queries run the per-region NLP
+// solves through the scratch's solver workspace. Every answer is written
+// into one per-chunk arena, so a chunk costs a constant number of
+// allocations whatever its verdicts and however many regions are solved.
+//
+// Workspace ownership: the kernel's caller owns s for the whole chunk and
+// must not share it with another kernel; closest borrows s's solver
+// workspace and angle buffers for one query at a time, and no answer
+// aliases them — each is copied out into the arena before the next query.
 func (e mdEngine) SuggestBatch(dst []engine.Result, queries []geom.Vector, s *engine.Scratch) {
 	idx := e.idx
 	d := idx.DS.D()
@@ -52,22 +71,27 @@ func (e mdEngine) SuggestBatch(dst []engine.Result, queries []geom.Vector, s *en
 			dst[i] = engine.Result{Err: err}
 			continue
 		}
+		if err := engine.CheckFinite(q); err != nil {
+			dst[i] = engine.Result{Err: err}
+			continue
+		}
 		fair, err := s.CheckFair(idx.DS, idx.Oracle, q, depth)
 		if err != nil {
 			dst[i] = engine.Result{Err: err}
 			continue
 		}
+		out := geom.Vector(arena[d*i : d*(i+1) : d*(i+1)])
 		if fair {
-			out := geom.Vector(arena[d*i : d*(i+1) : d*(i+1)])
 			copy(out, q)
-			dst[i] = engine.Result{Weights: out}
+			dst[i] = engine.Result{Weights: out, AlreadyFair: true}
 			continue
 		}
-		out, dist, err := idx.closest(q)
-		if errors.Is(err, ErrUnsatisfiable) {
-			err = engine.ErrUnsatisfiable
+		dist, err := idx.closest(q, out, s)
+		if err != nil {
+			dst[i] = engine.Result{Err: engineErr(err)}
+			continue
 		}
-		dst[i] = engine.Result{Weights: out, Distance: dist, Err: err}
+		dst[i] = engine.Result{Weights: out, Distance: dist}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"fairrank/internal/arrangement"
 	"fairrank/internal/dataset"
+	"fairrank/internal/engine"
 	"fairrank/internal/fairness"
 	"fairrank/internal/geom"
 	"fairrank/internal/nlp"
@@ -155,50 +156,70 @@ func (idx *MDIndex) Satisfiable() bool { return len(idx.Sat) > 0 }
 // the query's magnitude. The returned distance is the angular distance
 // between query and answer.
 func (idx *MDIndex) Baseline(w geom.Vector) (geom.Vector, float64, error) {
+	out, dist, _, err := idx.baseline(w)
+	return out, dist, err
+}
+
+// baseline is Baseline also reporting the oracle's verdict on the query.
+func (idx *MDIndex) baseline(w geom.Vector) (out geom.Vector, dist float64, fair bool, err error) {
 	if len(w) != idx.DS.D() {
-		return nil, 0, fmt.Errorf("core: query dimension %d, want %d", len(w), idx.DS.D())
+		return nil, 0, false, fmt.Errorf("core: query dimension %d, want %d", len(w), idx.DS.D())
 	}
 	order, err := ranking.Order(idx.DS, w)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, false, err
 	}
 	if idx.Oracle.Check(order) {
-		return w.Clone(), 0, nil
+		return w.Clone(), 0, true, nil
 	}
-	return idx.closest(w)
+	out = make(geom.Vector, len(w))
+	dist, err = idx.closest(w, out, new(engine.Scratch))
+	if err != nil {
+		return nil, 0, false, err
+	}
+	return out, dist, false, nil
 }
 
 // closest is Baseline's unfair-query path: the per-region NLP solves and the
-// global minimum. The batch kernel calls it directly after its own (scratch-
-// buffered) fairness check, so both paths return identical answers.
-func (idx *MDIndex) closest(w geom.Vector) (geom.Vector, float64, error) {
+// global minimum, written into out (len(w) entries) at the query's
+// magnitude. The batch kernel calls it directly after its own (scratch-
+// buffered) fairness check, so both paths return identical answers. Every
+// solve runs through s's solver workspace and angle buffers, so a warm
+// scratch makes the whole query allocation-free, however many satisfactory
+// regions there are.
+func (idx *MDIndex) closest(w, out geom.Vector, s *engine.Scratch) (float64, error) {
 	if !idx.Satisfiable() {
-		return nil, 0, ErrUnsatisfiable
+		return 0, ErrUnsatisfiable
 	}
-	r, q, err := geom.ToPolar(w)
+	m := len(w) - 1
+	r, q, err := geom.ToPolarInto(w, s.Angles(m))
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	// A fresh rng per call keeps Baseline deterministic (two identical
+	// Reseeding per call keeps Baseline deterministic (two identical
 	// queries — or a query before and after save/load — get identical
-	// answers) and free of shared mutable state, so concurrent callers
-	// never race.
-	rng := rand.New(rand.NewSource(idx.querySeed))
+	// answers) and free of shared mutable state: the generator lives in the
+	// caller's scratch, so concurrent callers never race.
+	ws := s.Solver()
+	rng := ws.Rand(idx.querySeed)
 	best := math.Inf(1)
-	var bestAng geom.Angles
+	bestAng := s.Probe(m)
+	found := false
 	for _, reg := range idx.Sat {
-		cons := idx.Arr.Constraints(reg)
-		p, dist, err := nlp.ClosestAnglePoint(q, cons, idx.Arr.Box, nlp.Options{}, rng)
+		ws.Cons, ws.Coef = idx.Arr.ConstraintsInto(ws.Cons, ws.Coef, reg)
+		p, dist, err := ws.ClosestAnglePoint(q, ws.Cons, idx.Arr.Box, nlp.Options{}, rng)
 		if err != nil {
 			continue // degenerate region; skip
 		}
 		if dist < best {
 			best = dist
-			bestAng = p
+			copy(bestAng, p)
+			found = true
 		}
 	}
-	if bestAng == nil {
-		return nil, 0, ErrUnsatisfiable
+	if !found {
+		return 0, ErrUnsatisfiable
 	}
-	return bestAng.ToCartesian(r), best, nil
+	bestAng.ToCartesianInto(r, out)
+	return best, nil
 }

@@ -108,7 +108,7 @@ func TestConformanceVerdictsAndDistances(t *testing.T) {
 			answers := map[string]geom.Vector{}
 			dists := map[string]float64{}
 			for name, e := range fx.engines {
-				out, dist, err := e.Suggest(q)
+				out, dist, err := suggest(e, q)
 				if err != nil {
 					t.Fatalf("seed %d: engine %s Suggest(%v): %v", seed, name, q, err)
 				}
@@ -165,13 +165,17 @@ func TestConformanceBatchMatchesScalar(t *testing.T) {
 		dst := make([]engine.Result, len(queries))
 		e.SuggestBatch(dst, queries, new(engine.Scratch))
 		for i, q := range queries {
-			out, dist, err := e.Suggest(q)
+			want := e.Suggest(q)
+			out, dist, err := want.Weights, want.Distance, want.Err
 			got := dst[i]
 			if (err != nil) != (got.Err != nil) {
 				t.Fatalf("engine %s slot %d: scalar err %v, batch err %v", name, i, err, got.Err)
 			}
 			if err != nil {
 				continue
+			}
+			if want.AlreadyFair != got.AlreadyFair {
+				t.Fatalf("engine %s slot %d: scalar already-fair %v, batch %v", name, i, want.AlreadyFair, got.AlreadyFair)
 			}
 			if dist != got.Distance {
 				t.Fatalf("engine %s slot %d: scalar dist %v, batch dist %v", name, i, dist, got.Distance)
@@ -215,7 +219,7 @@ func TestConformanceSortedBatchMatchesScalar(t *testing.T) {
 			dst := make([]engine.Result, len(queries))
 			e.SuggestBatchSorted(dst, queries, s)
 			for i, q := range queries {
-				out, dist, err := e.Suggest(q)
+				out, dist, err := suggest(e, q)
 				got := dst[i]
 				if (err != nil) != (got.Err != nil) {
 					t.Fatalf("engine %s order %s slot %d: scalar err %v, sorted-batch err %v", name, oname, i, err, got.Err)
@@ -389,8 +393,8 @@ func TestConformancePersistRoundTrip(t *testing.T) {
 			t.Fatalf("engine %s reload: %v", name, err)
 		}
 		for _, q := range queries {
-			w1, d1, err1 := e.Suggest(q)
-			w2, d2, err2 := loaded.Suggest(q)
+			w1, d1, err1 := suggest(e, q)
+			w2, d2, err2 := suggest(loaded, q)
 			if (err1 != nil) != (err2 != nil) || d1 != d2 {
 				t.Fatalf("engine %s: reloaded answers diverge on %v: (%v,%v,%v) vs (%v,%v,%v)", name, q, w1, d1, err1, w2, d2, err2)
 			}
@@ -458,7 +462,7 @@ func TestConformancePatchableRepairMatchesRebuild(t *testing.T) {
 	before := map[string][]snap{}
 	for name, e := range fx.engines {
 		for _, q := range queries {
-			w, dist, err := e.Suggest(q)
+			w, dist, err := suggest(e, q)
 			before[name] = append(before[name], snap{w, dist, err != nil})
 		}
 	}
@@ -480,8 +484,8 @@ func TestConformancePatchableRepairMatchesRebuild(t *testing.T) {
 			t.Fatalf("engine %s: repaired bound %v, rebuild %v", name, repaired.QualityBound(), want.QualityBound())
 		}
 		for _, q := range queries {
-			w1, d1, err1 := repaired.Suggest(q)
-			w2, d2, err2 := want.Suggest(q)
+			w1, d1, err1 := suggest(repaired, q)
+			w2, d2, err2 := suggest(want, q)
 			if (err1 != nil) != (err2 != nil) || math.Float64bits(d1) != math.Float64bits(d2) {
 				t.Fatalf("engine %s q %v: repaired (%v,%v,%v) vs rebuild (%v,%v,%v)", name, q, w1, d1, err1, w2, d2, err2)
 			}
@@ -493,7 +497,7 @@ func TestConformancePatchableRepairMatchesRebuild(t *testing.T) {
 		}
 		// Receiver untouched: same answers as before the repair.
 		for i, q := range queries {
-			w, dist, err := e.Suggest(q)
+			w, dist, err := suggest(e, q)
 			s := before[name][i]
 			if (err != nil) != s.err || math.Float64bits(dist) != math.Float64bits(s.dist) {
 				t.Fatalf("engine %s: Repair disturbed the receiver at %v", name, q)
@@ -593,4 +597,11 @@ func TestConformanceDeltaRemap(t *testing.T) {
 	if err := (engine.Delta{Added: 1}).Validate(6, 9); err == nil {
 		t.Fatal("inconsistent newN accepted")
 	}
+}
+
+// suggest unpacks Engine.Suggest's Result into the (weights, distance,
+// error) triple most checks compare.
+func suggest(e engine.Engine, q geom.Vector) (geom.Vector, float64, error) {
+	r := e.Suggest(q)
+	return r.Weights, r.Distance, r.Err
 }

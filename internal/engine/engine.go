@@ -7,14 +7,16 @@
 // to one interface instead of dispatching on an engine mode.
 //
 // The package deliberately holds no engine code itself: it depends only on
-// dataset, fairness, geom and ranking, and the engine packages depend on it
-// (never the other way around), so a new engine is one adapter away from
-// every capability the stack offers.
+// dataset, fairness, geom and ranking, plus nlp for the solver workspace a
+// Scratch carries, and the engine packages depend on it (never the other way
+// around), so a new engine is one adapter away from every capability the
+// stack offers.
 package engine
 
 import (
 	"errors"
 	"io"
+	"math"
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/fairness"
@@ -26,14 +28,38 @@ import (
 // this one so callers test a single error regardless of engine.
 var ErrUnsatisfiable = errors.New("engine: no satisfactory ranking function exists")
 
-// Result is one slot of a SuggestBatch answer: the satisfactory weight
-// vector and its angular distance from the query, or the error that query
-// alone would have produced. Weights is typically carved from a per-chunk
-// arena; treat it as owned by the caller once the batch call returns.
+// ErrNonFinite rejects a query with a NaN or infinite component, or whose
+// Euclidean norm overflows: such a vector names no ray, and every answer
+// derived from it would carry non-finite weights. All three engines check
+// it right after the dimension, on the single and the batch paths alike.
+var ErrNonFinite = errors.New("engine: query weights must be finite with a finite norm")
+
+// CheckFinite returns ErrNonFinite when w has a non-finite component or a
+// norm that overflows to +Inf.
+func CheckFinite(w geom.Vector) error {
+	var norm2 float64
+	for _, x := range w {
+		norm2 += x * x
+	}
+	if math.IsNaN(norm2) || math.IsInf(norm2, 0) {
+		return ErrNonFinite
+	}
+	return nil
+}
+
+// Result is one answer, of Suggest or of one SuggestBatch slot: the
+// satisfactory weight vector and its angular distance from the query, or
+// the error that query alone would have produced. AlreadyFair is the
+// engine's own verdict that the query satisfies the oracle (the answer is
+// then the query itself); it is not inferred from a zero distance, because
+// an unfair query can lie at angular distance 0 from its answer after
+// rounding. Batch Weights are typically carved from a per-chunk arena;
+// treat them as owned by the caller once the batch call returns.
 type Result struct {
-	Weights  geom.Vector
-	Distance float64
-	Err      error
+	Weights     geom.Vector
+	Distance    float64
+	AlreadyFair bool
+	Err         error
 }
 
 // Engine is the uniform online surface over a preprocessed index.
@@ -51,10 +77,10 @@ type Engine interface {
 	// Suggest distances (Theorem 6 for the grid engine, 0 for exact ones).
 	QualityBound() float64
 
-	// Suggest answers one design query: the query itself (distance 0) when
-	// it is already satisfactory, the closest satisfactory function found
-	// otherwise, or ErrUnsatisfiable.
-	Suggest(w geom.Vector) (geom.Vector, float64, error)
+	// Suggest answers one design query: the query itself (distance 0,
+	// AlreadyFair) when it is already satisfactory, the closest satisfactory
+	// function found otherwise, or ErrUnsatisfiable in Err.
+	Suggest(w geom.Vector) Result
 
 	// SuggestBatch answers queries[i] into dst[i] (len(dst) == len(queries)),
 	// reusing the per-worker scratch arena across queries so a chunk costs a

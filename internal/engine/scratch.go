@@ -4,12 +4,14 @@ import (
 	"fairrank/internal/dataset"
 	"fairrank/internal/fairness"
 	"fairrank/internal/geom"
+	"fairrank/internal/nlp"
 	"fairrank/internal/ranking"
 )
 
 // Scratch is the per-worker arena a SuggestBatch kernel reuses across the
 // queries of a chunk: one ranking buffer (scores + order), one polar-angle
-// buffer, two cartesian probe vectors, and the resumable-kernel cursor (see
+// buffer, two cartesian probe vectors, the exact engine's solver workspace
+// (see Solver), and the resumable-kernel cursor (see
 // Engine.SuggestBatchSorted). The batch layer keeps Scratches in a pool, so
 // steady-state batch traffic allocates only the per-chunk answer arenas. A
 // Scratch must not be shared between concurrent kernels.
@@ -18,6 +20,7 @@ type Scratch struct {
 	angles geom.Angles
 	probe  geom.Angles
 	va, vb geom.Vector
+	solver nlp.Workspace
 
 	// resume is engine-private cursor state a resumable kernel parks between
 	// consecutive queries (the 2D engine's interval cursor, the grid engine's
@@ -61,6 +64,10 @@ func (s *Scratch) TakeResumeHits() int64 {
 const (
 	maxRetainedRankItems = 1 << 16
 	maxRetainedAngles    = 1 << 10
+	// maxRetainedSolver bounds each solver buffer (constraints or floats):
+	// a region's constraint system grows with its hyperplane count, so one
+	// pathological region must not pin its arrays in the pool.
+	maxRetainedSolver = 1 << 16
 )
 
 // Reset prepares a Scratch for the pool: the resumable cursor is dropped (it
@@ -81,7 +88,13 @@ func (s *Scratch) Reset() {
 	if cap(s.va) > maxRetainedAngles {
 		s.va, s.vb = nil, nil
 	}
+	s.solver.Trim(maxRetainedSolver)
 }
+
+// Solver returns the scratch's NLP/LP workspace. The exact engine's kernel
+// borrows it for one query at a time: every region solve of that query runs
+// through it, and nothing it returns outlives the query.
+func (s *Scratch) Solver() *nlp.Workspace { return &s.solver }
 
 // OrderFor ranks ds under w into the scratch buffers: the O(n + k log k)
 // partial ordering when the oracle's inspection depth k is known, the full

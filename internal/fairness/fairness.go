@@ -93,7 +93,13 @@ func (t *TopK) K() int { return t.k }
 
 // Check implements Oracle in O(k + #bounds).
 func (t *TopK) Check(order []int) bool {
-	counts := make([]int, t.groups)
+	var small [8]int // the common few-group case counts on the stack
+	var counts []int
+	if t.groups <= len(small) {
+		counts = small[:t.groups]
+	} else {
+		counts = make([]int, t.groups)
+	}
 	for _, item := range order[:t.k] {
 		counts[t.values[item]]++
 	}

@@ -80,23 +80,92 @@ func (p *Problem) validate() error {
 // for reproducibility. It returns ErrInfeasible when no point satisfies all
 // constraints and the box.
 func Solve(p *Problem, rng *rand.Rand) ([]float64, error) {
+	var ws Workspace
+	return ws.Solve(p, rng)
+}
+
+// Workspace is the reusable memory of the solver: the shuffled copy of the
+// constraints, the reduced problem at every recursion level of Seidel's
+// algorithm, and InteriorPoint's augmented problem. A solve through a warm
+// Workspace allocates nothing, and performs the same arithmetic and the
+// same rng draws as the package-level functions, which are wrappers over a
+// fresh Workspace. The zero value is ready to use; a Workspace must not be
+// shared between concurrent solves.
+type Workspace struct {
+	shuf   []Constraint
+	levels []level
+	zero   []float64 // never written: the all-zero row of reduceProblem
+
+	augC, augLo, augHi []float64
+	aug                []Constraint
+	augA               []float64
+}
+
+// level is one recursion level of Seidel's algorithm: the reduced problem
+// it solves (unused at level 0, whose problem is the caller's) and the
+// solution vector it returns.
+type level struct {
+	c, lo, hi []float64
+	cons      []Constraint
+	a         []float64 // backing of cons[i].A
+	x         []float64
+}
+
+// Solve is the package-level Solve through the workspace. The returned
+// slice aliases the workspace and is valid until its next call.
+func (ws *Workspace) Solve(p *Problem, rng *rand.Rand) ([]float64, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	cons := make([]Constraint, len(p.Cons))
+	cons := grow(&ws.shuf, len(p.Cons))
 	copy(cons, p.Cons)
 	rng.Shuffle(len(cons), func(i, j int) { cons[i], cons[j] = cons[j], cons[i] })
-	return seidel(p.C, cons, p.Lo, p.Hi)
+	if d := p.Dim(); len(ws.levels) < d {
+		ws.levels = append(ws.levels, make([]level, d-len(ws.levels))...)
+	}
+	return ws.seidel(0, p.C, cons, p.Lo, p.Hi)
 }
 
-// seidel solves max c·x s.t. cons, lo ≤ x ≤ hi, assuming cons is already in
-// random order. Constraints must not be mutated (they may be shared).
-func seidel(c []float64, cons []Constraint, lo, hi []float64) ([]float64, error) {
-	d := len(c)
-	if d == 1 {
-		return seidel1D(c[0], cons, lo[0], hi[0])
+// Maximize is the package-level Maximize through the workspace; the result
+// aliases the workspace.
+func (ws *Workspace) Maximize(c []float64, cons []Constraint, lo, hi []float64, rng *rand.Rand) ([]float64, error) {
+	return ws.Solve(&Problem{C: c, Cons: cons, Lo: lo, Hi: hi}, rng)
+}
+
+// Trim releases every buffer whose capacity exceeds max elements, so a
+// pooled workspace that once solved a huge region does not pin its arrays.
+func (ws *Workspace) Trim(max int) {
+	if cap(ws.shuf) > max {
+		ws.shuf = nil
 	}
-	x := boxOptimum(c, lo, hi)
+	if cap(ws.aug) > max || cap(ws.augA) > max {
+		ws.aug, ws.augA = nil, nil
+	}
+	for i := range ws.levels {
+		if lv := &ws.levels[i]; cap(lv.cons) > max || cap(lv.a) > max {
+			lv.cons, lv.a = nil, nil
+		}
+	}
+}
+
+// grow returns (*buf)[:n], reallocating when the capacity falls short.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
+// seidel solves max c·x s.t. cons, lo ≤ x ≤ hi at recursion level depth,
+// assuming cons is already in random order. Constraints must not be mutated
+// (they may be shared). The solution lives in ws.levels[depth].x.
+func (ws *Workspace) seidel(depth int, c []float64, cons []Constraint, lo, hi []float64) ([]float64, error) {
+	d := len(c)
+	x := grow(&ws.levels[depth].x, d)
+	if d == 1 {
+		return seidel1D(c[0], cons, lo[0], hi[0], x)
+	}
+	boxOptimum(x, c, lo, hi)
 	for i, con := range cons {
 		scale := 1 + con.Norm() + math.Abs(con.B)
 		if dot(con.A, x) <= con.B+Tol*scale {
@@ -109,21 +178,19 @@ func seidel(c []float64, cons []Constraint, lo, hi []float64) ([]float64, error)
 			// Degenerate constraint 0·x ≤ B with B < current value: infeasible.
 			return nil, ErrInfeasible
 		}
-		red, err := reduceProblem(c, cons[:i], lo, hi, con, k)
+		red := ws.reduceProblem(depth+1, c, cons[:i], lo, hi, con, k)
+		xr, err := ws.seidel(depth+1, red.c, red.cons, red.lo, red.hi)
 		if err != nil {
 			return nil, err
 		}
-		xr, err := seidel(red.C, red.Cons, red.Lo, red.Hi)
-		if err != nil {
-			return nil, err
-		}
-		x = liftSolution(xr, con, k)
+		liftSolution(x, xr, con, k)
 	}
 	return x, nil
 }
 
-// seidel1D maximizes c·x over an interval intersected with scalar constraints.
-func seidel1D(c float64, cons []Constraint, lo, hi float64) ([]float64, error) {
+// seidel1D maximizes c·x over an interval intersected with scalar
+// constraints, writing the optimum into x[0].
+func seidel1D(c float64, cons []Constraint, lo, hi float64, x []float64) ([]float64, error) {
 	for _, con := range cons {
 		a, b := con.A[0], con.B
 		scale := 1 + math.Abs(a) + math.Abs(b)
@@ -140,69 +207,64 @@ func seidel1D(c float64, cons []Constraint, lo, hi float64) ([]float64, error) {
 	}
 	if lo > hi {
 		if lo-hi <= Tol*(1+math.Abs(lo)+math.Abs(hi)) {
-			m := (lo + hi) / 2
-			return []float64{m}, nil
+			x[0] = (lo + hi) / 2
+			return x, nil
 		}
 		return nil, ErrInfeasible
 	}
 	if c >= 0 {
-		return []float64{hi}, nil
+		x[0] = hi
+	} else {
+		x[0] = lo
 	}
-	return []float64{lo}, nil
-}
-
-// reduced is a (d−1)-dimensional subproblem produced by pinning a constraint.
-type reduced struct {
-	C    []float64
-	Cons []Constraint
-	Lo   []float64
-	Hi   []float64
+	return x, nil
 }
 
 // reduceProblem substitutes x_k = (B − Σ_{j≠k} A_j x_j)/A_k into the
 // objective, the prior constraints, and the box bounds of x_k (which become
-// ordinary linear constraints in the reduced space).
-func reduceProblem(c []float64, prior []Constraint, lo, hi []float64, con Constraint, k int) (*reduced, error) {
+// ordinary linear constraints in the reduced space). The reduced problem is
+// written into ws.levels[depth] and returned.
+func (ws *Workspace) reduceProblem(depth int, c []float64, prior []Constraint, lo, hi []float64, con Constraint, k int) *level {
 	d := len(c)
 	ak := con.A[k]
-	r := &reduced{
-		C:    make([]float64, 0, d-1),
-		Cons: make([]Constraint, 0, len(prior)+2),
-		Lo:   make([]float64, 0, d-1),
-		Hi:   make([]float64, 0, d-1),
-	}
+	r := &ws.levels[depth]
+	r.c, r.lo, r.hi = r.c[:0], r.lo[:0], r.hi[:0]
 	for j := 0; j < d; j++ {
 		if j == k {
 			continue
 		}
-		r.C = append(r.C, c[j]-c[k]*con.A[j]/ak)
-		r.Lo = append(r.Lo, lo[j])
-		r.Hi = append(r.Hi, hi[j])
+		r.c = append(r.c, c[j]-c[k]*con.A[j]/ak)
+		r.lo = append(r.lo, lo[j])
+		r.hi = append(r.hi, hi[j])
 	}
-	transform := func(g []float64, gk, gb float64) Constraint {
-		a := make([]float64, 0, d-1)
+	n := len(prior) + 2
+	r.cons = grow(&r.cons, n)
+	cons := r.cons
+	a := grow(&r.a, n*(d-1))
+	transform := func(i int, g []float64, gk, gb float64) {
+		row := a[i*(d-1) : i*(d-1) : (i+1)*(d-1)]
 		for j := 0; j < d; j++ {
 			if j == k {
 				continue
 			}
-			a = append(a, g[j]-gk*con.A[j]/ak)
+			row = append(row, g[j]-gk*con.A[j]/ak)
 		}
-		return Constraint{A: a, B: gb - gk*con.B/ak}
+		cons[i] = Constraint{A: row, B: gb - gk*con.B/ak}
 	}
-	for _, g := range prior {
-		r.Cons = append(r.Cons, transform(g.A, g.A[k], g.B))
+	for i, g := range prior {
+		transform(i, g.A, g.A[k], g.B)
 	}
 	// Box bounds on the eliminated variable: x_k ≤ hi_k and −x_k ≤ −lo_k.
-	ek := make([]float64, d)
-	r.Cons = append(r.Cons, transform(ek, 1, hi[k]))
-	r.Cons = append(r.Cons, transform(ek, -1, -lo[k]))
-	return r, nil
+	ek := grow(&ws.zero, d)
+	transform(len(prior), ek, 1, hi[k])
+	transform(len(prior)+1, ek, -1, -lo[k])
+	return r
 }
 
-// liftSolution reinserts the eliminated coordinate.
-func liftSolution(xr []float64, con Constraint, k int) []float64 {
+// liftSolution reinserts the eliminated coordinate of the reduced solution
+// xr into x.
+func liftSolution(x, xr []float64, con Constraint, k int) {
 	d := len(xr) + 1
-	x := make([]float64, d)
 	j := 0
 	for i := 0; i < d; i++ {
 		if i == k {
@@ -218,12 +280,10 @@ func liftSolution(xr []float64, con Constraint, k int) []float64 {
 		}
 	}
 	x[k] = s / con.A[k]
-	return x
 }
 
-// boxOptimum returns the box corner maximizing c·x.
-func boxOptimum(c, lo, hi []float64) []float64 {
-	x := make([]float64, len(c))
+// boxOptimum writes the box corner maximizing c·x into x.
+func boxOptimum(x, c, lo, hi []float64) {
 	for k := range c {
 		if c[k] >= 0 {
 			x[k] = hi[k]
@@ -231,7 +291,6 @@ func boxOptimum(c, lo, hi []float64) []float64 {
 			x[k] = lo[k]
 		}
 	}
-	return x
 }
 
 func dot(a, b []float64) float64 {

@@ -18,30 +18,43 @@ import (
 // a margin near zero means the region is degenerate (a sliver on a
 // hyperplane).
 func InteriorPoint(cons []Constraint, lo, hi []float64, rng *rand.Rand) (x []float64, margin float64, err error) {
+	var ws Workspace
+	return ws.InteriorPoint(cons, lo, hi, rng)
+}
+
+// InteriorPoint is the package-level InteriorPoint through the workspace:
+// the augmented problem is built in the workspace's buffers, and the
+// returned point aliases the workspace until its next call.
+func (ws *Workspace) InteriorPoint(cons []Constraint, lo, hi []float64, rng *rand.Rand) (x []float64, margin float64, err error) {
 	d := len(lo)
 	// Variables y = (x, s). Maximize s.
-	c := make([]float64, d+1)
+	c := grow(&ws.augC, d+1)
+	clear(c)
 	c[d] = 1
-	aug := make([]Constraint, 0, len(cons)+2*d)
-	for _, con := range cons {
-		a := make([]float64, d+1)
+	n := len(cons) + 2*d
+	aug := grow(&ws.aug, n)
+	rows := grow(&ws.augA, n*(d+1))
+	clear(rows)
+	row := func(i int) []float64 { return rows[i*(d+1) : (i+1)*(d+1) : (i+1)*(d+1)] }
+	for i, con := range cons {
+		a := row(i)
 		copy(a, con.A)
 		a[d] = con.Norm()
-		aug = append(aug, Constraint{A: a, B: con.B})
+		aug[i] = Constraint{A: a, B: con.B}
 	}
 	// Box with slack: x_k + s ≤ hi_k and −x_k + s ≤ −lo_k.
 	for k := 0; k < d; k++ {
-		up := make([]float64, d+1)
+		up := row(len(cons) + 2*k)
 		up[k], up[d] = 1, 1
-		aug = append(aug, Constraint{A: up, B: hi[k]})
-		dn := make([]float64, d+1)
+		aug[len(cons)+2*k] = Constraint{A: up, B: hi[k]}
+		dn := row(len(cons) + 2*k + 1)
 		dn[k], dn[d] = -1, 1
-		aug = append(aug, Constraint{A: dn, B: -lo[k]})
+		aug[len(cons)+2*k+1] = Constraint{A: dn, B: -lo[k]}
 	}
 	// Bounding box for y: x within a slightly inflated box, s within
 	// [−1, maxRange] (negative s admits infeasible-by-a-hair diagnostics).
-	ylo := make([]float64, d+1)
-	yhi := make([]float64, d+1)
+	ylo := grow(&ws.augLo, d+1)
+	yhi := grow(&ws.augHi, d+1)
 	maxRange := 1.0
 	for k := 0; k < d; k++ {
 		ylo[k] = lo[k] - 1
@@ -49,7 +62,7 @@ func InteriorPoint(cons []Constraint, lo, hi []float64, rng *rand.Rand) (x []flo
 		maxRange = math.Max(maxRange, hi[k]-lo[k])
 	}
 	ylo[d], yhi[d] = -1, maxRange
-	y, err := Solve(&Problem{C: c, Cons: aug, Lo: ylo, Hi: yhi}, rng)
+	y, err := ws.Solve(&Problem{C: c, Cons: aug, Lo: ylo, Hi: yhi}, rng)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -183,5 +196,6 @@ func FeasibleOnHyperplane(g []float64, g0 float64, cons []Constraint, lo, hi []f
 
 // Maximize is a convenience wrapper: maximize c·x over {Cons, box}.
 func Maximize(c []float64, cons []Constraint, lo, hi []float64, rng *rand.Rand) ([]float64, error) {
-	return Solve(&Problem{C: c, Cons: cons, Lo: lo, Hi: hi}, rng)
+	var ws Workspace
+	return ws.Maximize(c, cons, lo, hi, rng)
 }

@@ -28,10 +28,10 @@
 package planner
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync/atomic"
 
 	"fairrank/internal/geom"
@@ -181,13 +181,28 @@ type Plan struct {
 func (p *Plan) PassThrough() bool { return p.Queries == nil }
 
 // Describe summarizes the plan's decisions in one short line — the trace
-// annotation for the "planner" stage of a batch request.
+// annotation for the "planner" stage of a batch request. It is built in a
+// stack buffer, so the note costs one allocation whatever the numbers in it.
 func (p *Plan) Describe() string {
+	var buf [128]byte
+	b := buf[:0]
 	if p.PassThrough() {
-		return fmt.Sprintf("pass-through chunk=%d workers=%d", p.ChunkSize, p.Workers)
+		b = appendField(append(b, "pass-through"...), "chunk", p.ChunkSize)
+		return string(appendField(b, "workers", p.Workers))
 	}
-	return fmt.Sprintf("kernel_slots=%d dup_slots=%d sorted=%t chunk=%d workers=%d",
-		len(p.Queries), p.dupSlots, p.Sorted, p.ChunkSize, p.Workers)
+	b = appendField(append(b, "kernel_slots="...), "", len(p.Queries))
+	b = appendField(b, "dup_slots", p.dupSlots)
+	b = strconv.AppendBool(append(b, " sorted="...), p.Sorted)
+	b = appendField(b, "chunk", p.ChunkSize)
+	return string(appendField(b, "workers", p.Workers))
+}
+
+// appendField appends " name=v" (just v when name is empty).
+func appendField(b []byte, name string, v int) []byte {
+	if name != "" {
+		b = append(append(append(b, ' '), name...), '=')
+	}
+	return strconv.AppendInt(b, int64(v), 10)
 }
 
 // Plan decides one batch's schedule from the current observables. qs is not
@@ -231,19 +246,15 @@ func (st *State) Plan(qs []geom.Vector) Plan {
 		Reps:   make([]int, 0, b),
 		SlotOf: make([]int, b),
 	}
-	seen := make(map[string]int, b)
-	var keyBuf []byte
-	for i, q := range qs {
-		keyBuf = rawKey(keyBuf[:0], q)
-		if k, dup := seen[string(keyBuf)]; dup {
-			p.SlotOf[i] = k
+	first := firstSlots(qs)
+	for i := range qs {
+		if j := first[i]; j != i {
+			p.SlotOf[i] = p.SlotOf[j]
 			p.dupSlots++
 			continue
 		}
-		k := len(p.Reps)
-		seen[string(keyBuf)] = k
+		p.SlotOf[i] = len(p.Reps)
 		p.Reps = append(p.Reps, i)
-		p.SlotOf[i] = k
 	}
 	p.Deduped = true
 	st.observeDupRate(float64(p.dupSlots) / float64(b))
@@ -342,16 +353,11 @@ func (st *State) probeDupRate(qs []geom.Vector) float64 {
 	if n > dupSampleSize {
 		n = dupSampleSize
 	}
-	seen := make(map[string]struct{}, n)
-	var keyBuf []byte
 	dups := 0
-	for _, q := range qs[:n] {
-		keyBuf = rawKey(keyBuf[:0], q)
-		if _, dup := seen[string(keyBuf)]; dup {
+	for i, j := range firstSlots(qs[:n]) {
+		if j != i {
 			dups++
-			continue
 		}
-		seen[string(keyBuf)] = struct{}{}
 	}
 	st.observeDupRate(float64(dups) / float64(n))
 	return math.Float64frombits(st.ewmaDupRate.Load())
@@ -375,18 +381,60 @@ func (st *State) observeEWMA(a *atomic.Uint64, x float64) {
 	a.Store(math.Float64bits(next))
 }
 
-// rawKey appends the exact bit pattern of q to dst — the dedup identity.
-// Queries that differ in any bit (including length, signs of zero, NaN
-// payloads) never collide, so fanning one kernel answer back out to every
-// slot with the same key is byte-identical to answering each slot alone.
-func rawKey(dst []byte, q geom.Vector) []byte {
-	for _, c := range q {
-		bits := math.Float64bits(c)
-		dst = append(dst,
-			byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
-			byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
+// firstSlots maps every query to the slot of the first query with the
+// identical bit pattern (itself when it is the first): the duplicate
+// classes dedup collapses. It probes an open-addressing table of slots keyed
+// by a hash of the raw bits and compares candidates bit for bit, so it costs
+// two allocations whatever the batch size (a map keyed by byte strings paid
+// one per distinct query).
+func firstSlots(qs []geom.Vector) []int {
+	size := 1
+	for size < 2*len(qs) {
+		size <<= 1
 	}
-	return dst
+	table := make([]int32, size) // slot+1; 0 = empty
+	mask := uint64(size - 1)
+	first := make([]int, len(qs))
+	for i, q := range qs {
+		for h := hashBits(q) & mask; ; h = (h + 1) & mask {
+			e := table[h]
+			if e == 0 {
+				table[h] = int32(i + 1)
+				first[i] = i
+				break
+			}
+			if j := int(e - 1); sameBits(qs[j], q) {
+				first[i] = j
+				break
+			}
+		}
+	}
+	return first
+}
+
+// hashBits mixes a query's raw float bits (and its length) into 64 bits.
+func hashBits(q geom.Vector) uint64 {
+	const m = 0x9e3779b97f4a7c15
+	h := uint64(len(q)) * m
+	for _, c := range q {
+		h = (h ^ math.Float64bits(c)) * m
+		h ^= h >> 32
+	}
+	return h
+}
+
+// sameBits reports whether two queries are bit-identical (-0 and +0
+// differ, as do NaN payloads — the same rule as the cache key).
+func sameBits(a, b geom.Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // sortReps orders the representative slots for angular locality. 2D sorts by

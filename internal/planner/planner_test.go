@@ -274,3 +274,44 @@ func TestHighDimSortGroupsSignPatterns(t *testing.T) {
 		last = b
 	}
 }
+
+// rawKey is the reference dedup key: the query's raw float bits as bytes.
+func rawKey(dst []byte, q geom.Vector) []byte {
+	for _, c := range q {
+		bits := math.Float64bits(c)
+		dst = append(dst,
+			byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
+			byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
+	}
+	return dst
+}
+
+// firstSlots must agree with a map keyed by the raw bits on batches full of
+// duplicates, signed zeros, NaN payloads and mixed lengths.
+func TestFirstSlotsMatchesRawKeyMap(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	pool := []float64{0, math.Copysign(0, -1), 1, 0.5, math.NaN(), math.Float64frombits(0x7ff8000000000001), math.Inf(1), 1e-300}
+	for it := 0; it < 500; it++ {
+		qs := make([]geom.Vector, r.Intn(200))
+		for i := range qs {
+			q := make(geom.Vector, 1+r.Intn(3))
+			for j := range q {
+				q[j] = pool[r.Intn(len(pool))]
+			}
+			qs[i] = q
+		}
+		seen := map[string]int{}
+		var key []byte
+		for i, j := range firstSlots(qs) {
+			key = rawKey(key[:0], qs[i])
+			want, ok := seen[string(key)]
+			if !ok {
+				want = i
+				seen[string(key)] = i
+			}
+			if j != want {
+				t.Fatalf("it %d: slot %d (%v) maps to %d, want %d", it, i, qs[i], j, want)
+			}
+		}
+	}
+}

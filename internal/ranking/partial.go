@@ -2,7 +2,7 @@ package ranking
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/geom"
@@ -49,7 +49,18 @@ func partialSort(order []int, s []float64, k int) {
 		return a < b
 	}
 	quickselect(order, k, better)
-	sort.Slice(order[:k], func(i, j int) bool { return better(order[i], order[j]) })
+	// better is a strict total order, so the sorted prefix is unique and any
+	// correct sort yields it; SortFunc does so without sort.Slice's
+	// reflection-built swapper allocation.
+	slices.SortFunc(order[:k], func(a, b int) int {
+		switch {
+		case better(a, b):
+			return -1
+		case a == b:
+			return 0
+		}
+		return 1
+	})
 }
 
 // quickselect partitions order so that the k best items (per better) occupy

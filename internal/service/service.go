@@ -22,15 +22,25 @@ import (
 	"fairrank/internal/obs"
 )
 
-// Suggestion mirrors fairrank.Suggestion without importing it.
+// Suggestion is the answer to a design query — the one shape every layer
+// carries, from the library (fairrank.Suggestion is an alias of it) through
+// the registry to the HTTP encoder.
 type Suggestion struct {
-	Weights     []float64
-	Distance    float64
+	// Weights is a satisfactory weight vector: the query itself when it
+	// was already fair, otherwise the closest satisfactory function found,
+	// scaled to the query's magnitude.
+	Weights []float64
+	// Distance is the angular distance (radians) between query and answer;
+	// 0 when AlreadyFair.
+	Distance float64
+	// AlreadyFair reports that the query satisfied the oracle unmodified:
+	// the engine's verdict on the query, not an inference from Distance
+	// (an unfair query's answer can round to distance 0).
 	AlreadyFair bool
 }
 
 // Result is one slot of a batch answer: exactly one of Suggestion and Err is
-// set.
+// set. fairrank.BatchResult is an alias of it.
 type Result struct {
 	Suggestion *Suggestion
 	Err        error
@@ -531,12 +541,13 @@ func (e *Entry) SuggestBatchCtx(ctx context.Context, ws [][]float64) ([]Result, 
 	// so a swap between the loads can only pair a new engine with a dead
 	// cache — never a stale hit from the new generation's table.
 	cache := e.cache.Load()
-	results := make([]Result, len(ws))
+	var results []Result // the engine's slice itself when nothing hit
 	misses := ws
 	var missIdx []int // nil: misses are ws verbatim (identity mapping)
 	hits := 0
 	if cache.len() > 0 {
 		sp := rec.Start("cache")
+		results = make([]Result, len(ws))
 		misses = misses[:0:0]
 		missIdx = make([]int, 0, len(ws))
 		for i, w := range ws {
@@ -571,7 +582,7 @@ func (e *Entry) SuggestBatchCtx(ctx context.Context, ws [][]float64) ([]Result, 
 			sp.End()
 		}
 		if missIdx == nil {
-			copy(results, sub)
+			results = sub
 		} else {
 			for j, res := range sub {
 				results[missIdx[j]] = res
@@ -582,6 +593,9 @@ func (e *Entry) SuggestBatchCtx(ctx context.Context, ws [][]float64) ([]Result, 
 				failed++
 			}
 		}
+	}
+	if results == nil {
+		results = make([]Result, len(ws)) // an empty batch still answers []
 	}
 	e.metrics.recordBatch(len(ws), time.Since(start), failed)
 	return results, nil

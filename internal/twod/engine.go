@@ -23,12 +23,24 @@ func (e indexEngine) ModeName() string      { return "2d" }
 func (e indexEngine) Satisfiable() bool     { return e.idx.Satisfiable() }
 func (e indexEngine) QualityBound() float64 { return 0 }
 
-func (e indexEngine) Suggest(w geom.Vector) (geom.Vector, float64, error) {
-	out, dist, err := e.idx.Query(w)
-	if errors.Is(err, ErrUnsatisfiable) {
-		err = engine.ErrUnsatisfiable
+// Suggest answers through Index.Query. In two dimensions the index's verdict
+// is interval containment, and answerNear reports distance 0 exactly for a
+// contained angle (the query is then returned verbatim), so AlreadyFair is
+// the zero distance here — unlike the engines that solve for a nearest point.
+func (e indexEngine) Suggest(w geom.Vector) engine.Result {
+	if len(w) == 2 {
+		if err := engine.CheckFinite(w); err != nil {
+			return engine.Result{Err: err}
+		}
 	}
-	return out, dist, err
+	out, dist, err := e.idx.Query(w)
+	if err != nil {
+		if errors.Is(err, ErrUnsatisfiable) {
+			err = engine.ErrUnsatisfiable
+		}
+		return engine.Result{Err: err}
+	}
+	return engine.Result{Weights: out, Distance: dist, AlreadyFair: dist == 0}
 }
 
 // SuggestBatch is the 2D arena kernel: per query it does the polar
@@ -41,6 +53,10 @@ func (e indexEngine) SuggestBatch(dst []engine.Result, queries []geom.Vector, _ 
 	for i, q := range queries {
 		if len(q) != 2 {
 			_, _, err := e.idx.Query(q) // uniform dimension error
+			dst[i] = engine.Result{Err: err}
+			continue
+		}
+		if err := engine.CheckFinite(q); err != nil {
 			dst[i] = engine.Result{Err: err}
 			continue
 		}
@@ -60,7 +76,7 @@ func (e indexEngine) SuggestBatch(dst []engine.Result, queries []geom.Vector, _ 
 		} else {
 			out[0], out[1] = r*math.Cos(bestTheta), r*math.Sin(bestTheta)
 		}
-		dst[i] = engine.Result{Weights: out, Distance: dist}
+		dst[i] = engine.Result{Weights: out, Distance: dist, AlreadyFair: dist == 0}
 	}
 }
 
@@ -97,6 +113,10 @@ func (e indexEngine) SuggestBatchSorted(dst []engine.Result, queries []geom.Vect
 			dst[i] = engine.Result{Err: err}
 			continue
 		}
+		if err := engine.CheckFinite(q); err != nil {
+			dst[i] = engine.Result{Err: err}
+			continue
+		}
 		r, theta, err := geom.ToPolar2D(q)
 		if err != nil {
 			dst[i] = engine.Result{Err: err}
@@ -117,7 +137,7 @@ func (e indexEngine) SuggestBatchSorted(dst []engine.Result, queries []geom.Vect
 		} else {
 			out[0], out[1] = r*math.Cos(bestTheta), r*math.Sin(bestTheta)
 		}
-		dst[i] = engine.Result{Weights: out, Distance: dist}
+		dst[i] = engine.Result{Weights: out, Distance: dist, AlreadyFair: dist == 0}
 	}
 	if hits > 0 {
 		s.AddResumeHits(hits)

@@ -385,15 +385,12 @@ func (s *Server) publishedGeneration(id string) uint64 {
 // traffic shows up in the fairrank_replica_reads_total split instead.
 func (s *Server) serveSuggestReplica(w http.ResponseWriter, r *http.Request, id string, body []byte, rep service.Replica) {
 	_ = id
-	var req suggestRequest
-	if !decodeRaw(w, body, &req) {
+	req, ok := readSuggestRequest(w, body)
+	if !ok {
 		return
 	}
 	rec := obs.FromContext(r.Context())
-	switch {
-	case req.Weights != nil && req.Batch != nil:
-		writeError(w, http.StatusBadRequest, errors.New(`"weights" and "batch" are mutually exclusive`))
-	case req.Weights != nil:
+	if req.Weights != nil {
 		sp := rec.Start("kernel")
 		sug, err := rep.Engine.Suggest(req.Weights)
 		sp.End()
@@ -401,34 +398,22 @@ func (s *Server) serveSuggestReplica(w http.ResponseWriter, r *http.Request, id 
 			writeError(w, errorStatus(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, suggestionJSON{
-			Weights: sug.Weights, Distance: sug.Distance, AlreadyFair: sug.AlreadyFair,
-		})
-	case req.Batch != nil:
-		sp := rec.Start("kernel")
-		var results []service.Result
-		if cb, ok := rep.Engine.(service.ContextBatcher); ok {
-			results = cb.SuggestBatchCtx(r.Context(), req.Batch)
-		} else {
-			results = rep.Engine.SuggestBatch(req.Batch)
-		}
+		sp = rec.Start("encode")
+		writeSuggestion(w, sug)
 		sp.End()
-		out := make([]suggestionJSON, len(results))
-		for i, res := range results {
-			if res.Err != nil {
-				out[i] = suggestionJSON{Error: res.Err.Error()}
-				continue
-			}
-			out[i] = suggestionJSON{
-				Weights:     res.Suggestion.Weights,
-				Distance:    res.Suggestion.Distance,
-				AlreadyFair: res.Suggestion.AlreadyFair,
-			}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"results": out})
-	default:
-		writeError(w, http.StatusBadRequest, errors.New(`body needs "weights" or "batch"`))
+		return
 	}
+	sp := rec.Start("kernel")
+	var results []service.Result
+	if cb, ok := rep.Engine.(service.ContextBatcher); ok {
+		results = cb.SuggestBatchCtx(r.Context(), req.Batch)
+	} else {
+		results = rep.Engine.SuggestBatch(req.Batch)
+	}
+	sp.End()
+	sp = rec.Start("encode")
+	writeResults(w, results)
+	sp.End()
 }
 
 // handleReplicaPut receives an owner's replica push: the sealed index stream

@@ -298,41 +298,19 @@ var ErrUnknownID = errors.New("fairrank: unknown id")
 // service.ErrDuplicateName for designers — to 409.
 var ErrDuplicateID = errors.New("fairrank: id already registered")
 
-// designerEngine adapts a Designer to the service.Engine interface.
+// designerEngine adapts a Designer to the service.Engine interface. The
+// designer already answers in the service's result shapes, so every method
+// is a direct call.
 type designerEngine struct{ d *Designer }
 
-func (e *designerEngine) Suggest(w []float64) (*service.Suggestion, error) {
-	s, err := e.d.Suggest(w)
-	if err != nil {
-		return nil, err
-	}
-	return &service.Suggestion{Weights: s.Weights, Distance: s.Distance, AlreadyFair: s.AlreadyFair}, nil
-}
+func (e *designerEngine) Suggest(w []float64) (*Suggestion, error) { return e.d.Suggest(w) }
 
-func (e *designerEngine) SuggestBatch(ws [][]float64) []service.Result {
-	return toServiceResults(e.d.SuggestBatch(ws))
-}
+func (e *designerEngine) SuggestBatch(ws [][]float64) []BatchResult { return e.d.SuggestBatch(ws) }
 
 // SuggestBatchCtx implements the optional service.ContextBatcher capability:
 // the designer records its planner and kernel stages on the request's trace.
-func (e *designerEngine) SuggestBatchCtx(ctx context.Context, ws [][]float64) []service.Result {
-	return toServiceResults(e.d.SuggestBatchCtx(ctx, ws))
-}
-
-func toServiceResults(batch []BatchResult) []service.Result {
-	out := make([]service.Result, len(batch))
-	for i, r := range batch {
-		if r.Err != nil {
-			out[i].Err = r.Err
-			continue
-		}
-		out[i].Suggestion = &service.Suggestion{
-			Weights:     r.Suggestion.Weights,
-			Distance:    r.Suggestion.Distance,
-			AlreadyFair: r.Suggestion.AlreadyFair,
-		}
-	}
-	return out
+func (e *designerEngine) SuggestBatchCtx(ctx context.Context, ws [][]float64) []BatchResult {
+	return e.d.SuggestBatchCtx(ctx, ws)
 }
 
 func (e *designerEngine) ModeName() string { return e.d.Mode().String() }
@@ -688,11 +666,7 @@ func (s *Server) suggestCtx(ctx context.Context, id string, w []float64) (*Sugge
 	if err != nil {
 		return nil, err
 	}
-	res, err := entry.SuggestCtx(ctx, w)
-	if err != nil {
-		return nil, err
-	}
-	return &Suggestion{Weights: res.Weights, Distance: res.Distance, AlreadyFair: res.AlreadyFair}, nil
+	return entry.SuggestCtx(ctx, w)
 }
 
 // SuggestBatch answers many queries in one call; see Designer.SuggestBatch.
@@ -705,23 +679,7 @@ func (s *Server) suggestBatchCtx(ctx context.Context, id string, ws [][]float64)
 	if err != nil {
 		return nil, err
 	}
-	batch, err := entry.SuggestBatchCtx(ctx, ws)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BatchResult, len(batch))
-	for i, r := range batch {
-		if r.Err != nil {
-			out[i].Err = r.Err
-			continue
-		}
-		out[i].Suggestion = &Suggestion{
-			Weights:     r.Suggestion.Weights,
-			Distance:    r.Suggestion.Distance,
-			AlreadyFair: r.Suggestion.AlreadyFair,
-		}
-	}
-	return out, nil
+	return entry.SuggestBatchCtx(ctx, ws)
 }
 
 // RevalidateResult is the outcome of a drift check on a serving designer.

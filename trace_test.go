@@ -108,7 +108,7 @@ func TestTracePropagatesAcrossForwardedSuggest(t *testing.T) {
 		stages[sp.Name] = true
 		nodes[sp.Node] = true
 	}
-	for _, want := range []string{"decode", "forward", "cache", "kernel"} {
+	for _, want := range []string{"decode", "forward", "cache", "kernel", "encode"} {
 		if !stages[want] {
 			t.Fatalf("trace misses stage %q; spans: %+v", want, tr.Spans)
 		}
