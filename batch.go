@@ -85,8 +85,9 @@ func (d *Designer) SuggestBatchCtx(ctx context.Context, queries [][]float64) []B
 	return results
 }
 
-// kernelNote is the "kernel" span's annotation, "queries=n resume_hits=k",
-// built in a stack buffer so it costs one allocation whatever n and k are.
+// kernelNote is the "kernel" span's annotation, "queries=n resume_hits=k".
+// Like planner.Plan.Describe it avoids fmt.Sprintf, whose boxing of ints of
+// 256 or more would make the note's allocations grow with the batch.
 func kernelNote(queries int, hits int64) string {
 	var buf [64]byte
 	b := strconv.AppendInt(append(buf[:0], "queries="...), int64(queries), 10)

@@ -1,7 +1,6 @@
 package fairrank
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -54,17 +53,27 @@ func decodeSuggest(body []byte) (suggestRequest, error) {
 // another case or with escapes, null, trailing bytes, out-of-range numbers —
 // and the caller falls back to encoding/json.
 //
-// One pass checks and parses. In a valid body every number but the first
-// of its array follows a comma, and commas between rows are one fewer than
-// the rows, so commas+1 bounds the numbers and the count of '[' bounds the
-// rows (bytes.Count is vectorized): the floats go into one slab sized by
-// that bound, and a request costs at most two allocations (the slab and the
-// row table) however many queries it holds. The slab is never pooled:
-// answers may alias the query vectors.
+// Two passes over the body: the first checks the grammar and counts the
+// numbers and rows without storing anything, so a malformed body is
+// declined before anything is allocated for it; the second allocates the
+// floats in one slab of exactly the counted size, plus the row table for a
+// batch, and parses into them. A request thus costs at most two
+// allocations however many queries it holds, and they are bounded by the
+// body's valid content (a number takes at least two bytes with its
+// separator). The slab is never pooled: answers may alias the query
+// vectors.
 func scanSuggest(body []byte) (suggestRequest, bool) {
-	s := suggestScanner{b: body, vals: make([]float64, bytes.Count(body, []byte{','})+1)}
+	s := suggestScanner{b: body}
 	if !s.scan() {
 		return suggestRequest{}, false
+	}
+	nums, rows, batch := s.nums, s.rowCount, s.batch
+	s = suggestScanner{b: body, parse: true, vals: make([]float64, nums)}
+	if batch {
+		s.rows = make([][]float64, 0, rows)
+	}
+	if !s.scan() {
+		return suggestRequest{}, false // a number out of float64 range
 	}
 	if s.batch {
 		return suggestRequest{Batch: s.rows}, true
@@ -72,15 +81,19 @@ func scanSuggest(body []byte) (suggestRequest, bool) {
 	return suggestRequest{Weights: s.vals[:s.nums:s.nums]}, true
 }
 
-// suggestScanner walks one canonical suggest body, parsing each number into
-// vals and, for a batch, slicing the rows out of it.
+// suggestScanner walks one canonical suggest body. Without parse it only
+// checks the grammar and counts the numbers and rows; with parse it parses
+// each number into vals (sized by the first pass) and, for a batch, slices
+// the rows out of it.
 type suggestScanner struct {
-	b     []byte
-	i     int
-	batch bool
-	nums  int // numbers parsed so far
-	vals  []float64
-	rows  [][]float64
+	b        []byte
+	i        int
+	batch    bool
+	parse    bool
+	nums     int // numbers scanned so far
+	rowCount int // batch rows scanned so far
+	vals     []float64
+	rows     [][]float64
 }
 
 func (s *suggestScanner) scan() bool {
@@ -121,7 +134,6 @@ func (s *suggestScanner) rowList() bool {
 	if !s.byte('[') {
 		return false
 	}
-	s.rows = make([][]float64, 0, bytes.Count(s.b[s.i:], []byte{'['}))
 	s.space()
 	if s.byte(']') {
 		return true
@@ -131,7 +143,10 @@ func (s *suggestScanner) rowList() bool {
 		if !ok {
 			return false
 		}
-		s.rows = append(s.rows, row) // within the counted capacity
+		s.rowCount++
+		if s.parse {
+			s.rows = append(s.rows, row) // within the counted capacity
+		}
 		s.space()
 		if s.byte(']') {
 			return true
@@ -143,9 +158,9 @@ func (s *suggestScanner) rowList() bool {
 	}
 }
 
-// array scans '[' (number (',' number)*)? ']' and returns the parsed row, a
-// full-capacity slice of vals (appending to one row never overwrites the
-// next).
+// array scans '[' (number (',' number)*)? ']' and, when parsing, returns the
+// parsed row, a full-capacity slice of vals (appending to one row never
+// overwrites the next).
 func (s *suggestScanner) array() ([]float64, bool) {
 	if !s.byte('[') {
 		return nil, false
@@ -167,13 +182,16 @@ func (s *suggestScanner) array() ([]float64, bool) {
 			s.space()
 		}
 	}
+	if !s.parse {
+		return nil, true
+	}
 	return s.vals[start:s.nums:s.nums], true
 }
 
 // number scans one token of the JSON number grammar
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and parses it. A
-// syntactically valid number ParseFloat rejects (out of range) fails the
-// scan, leaving the error to encoding/json.
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and, when parsing, parses
+// it. A syntactically valid number ParseFloat rejects (out of range) fails
+// the scan, leaving the error to encoding/json.
 func (s *suggestScanner) number() bool {
 	b, i := s.b, s.i
 	start := i
@@ -206,16 +224,15 @@ func (s *suggestScanner) number() bool {
 		}
 		i = j
 	}
-	if s.nums == len(s.vals) {
-		return false // more numbers than the comma count allows: not canonical
+	if s.parse {
+		// The body is never mutated while the request is served, so the
+		// token can be viewed as a string without copying.
+		f, err := strconv.ParseFloat(unsafe.String(&b[start], i-start), 64)
+		if err != nil {
+			return false
+		}
+		s.vals[s.nums] = f
 	}
-	// The body is never mutated while the request is served, so the token
-	// can be viewed as a string without copying.
-	f, err := strconv.ParseFloat(unsafe.String(&b[start], i-start), 64)
-	if err != nil {
-		return false
-	}
-	s.vals[s.nums] = f
 	s.nums++
 	s.i = i
 	return true

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -141,6 +142,40 @@ func TestScanSuggestMatchesUnmarshal(t *testing.T) {
 		}
 		if !ok || !sameRequest(got, want) {
 			t.Fatalf("body %q: fast path (%v) %+v, json.Unmarshal %+v", body, ok, got, want)
+		}
+	}
+}
+
+// allocatedBytes reports the heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A malformed body is declined before anything is allocated for its
+// contents: the fast path sizes its slabs only from a body that passed the
+// grammar check, so a few MiB of '[' or commas cannot make it allocate
+// many times the body (encoding/json rejects such bodies without
+// allocating either).
+func TestDecodeSuggestMalformedBodiesAllocateLittle(t *testing.T) {
+	const n = 4 << 20
+	bodies := map[string][]byte{
+		"deep brackets":       append([]byte(`{"batch":`), bytes.Repeat([]byte("["), n)...),
+		"only commas":         bytes.Repeat([]byte(","), n),
+		"weights, bad ending": append(append([]byte(`{"weights":[`), bytes.Repeat([]byte("0,"), n/2)...), "]}"...),
+		"batch, bad ending":   append(append([]byte(`{"batch":[`), bytes.Repeat([]byte("[0],"), n/4)...), "x]}"...),
+	}
+	for name, body := range bodies {
+		var err error
+		got := allocatedBytes(func() { _, err = decodeSuggest(body) })
+		if err == nil {
+			t.Fatalf("%s: decoded a malformed body", name)
+		}
+		if got > uint64(len(body))/4 {
+			t.Errorf("%s: decoding a %d-byte malformed body allocated %d bytes", name, len(body), got)
 		}
 	}
 }
@@ -421,5 +456,14 @@ func TestSuggestHandlerAllocsIndependentOfBatchSize(t *testing.T) {
 	}
 	if allocs[16] != allocs[1024] {
 		t.Errorf("handler allocates %v objects for a 16-query batch and %v for a 1024-query batch; want the same", allocs[16], allocs[1024])
+	}
+}
+
+// kernelNote must print what fmt.Sprintf printed for the same numbers.
+func TestKernelNoteMatchesSprintf(t *testing.T) {
+	for _, n := range []int{0, 9, 1024, 1 << 30} {
+		if got, want := kernelNote(n, int64(n/3)), fmt.Sprintf("queries=%d resume_hits=%d", n, n/3); got != want {
+			t.Errorf("kernelNote = %q, want %q", got, want)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -173,18 +174,19 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // maxBodyBytes bounds every request body.
 const maxBodyBytes = 64 << 20
 
+// maxUpfrontBody bounds the buffer readBody allocates from a declared
+// Content-Length before any body byte has arrived: a client that declares a
+// huge body and trickles it holds no more memory than it has sent.
+const maxUpfrontBody = 1 << 20
+
 // readBody buffers the (bounded) request body so handlers can both decode it
-// locally and hand the identical bytes to a forward or replication call. A
-// body with a declared length is read into one buffer of exactly that size
-// (the server frames the body by Content-Length), instead of the doubling
-// growth of io.ReadAll.
+// locally and hand the identical bytes to a forward or replication call.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var raw []byte
 	var err error
 	if n := r.ContentLength; n >= 0 && n <= maxBodyBytes {
-		raw = make([]byte, n)
-		_, err = io.ReadFull(body, raw)
+		raw, err = readDeclared(body, int(n))
 	} else {
 		raw, err = io.ReadAll(body)
 	}
@@ -193,6 +195,25 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 		return nil, false
 	}
 	return raw, true
+}
+
+// readDeclared reads a body of declared length n (the server frames the body
+// by Content-Length). A body of at most maxUpfrontBody bytes lands in one
+// buffer of exactly its size, instead of io.ReadAll's doubling; a larger one
+// starts there and grows only as its bytes arrive.
+func readDeclared(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, maxUpfrontBody))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(len(buf), n-len(buf)))
+		}
+		end := min(cap(buf), n)
+		if _, err := io.ReadFull(r, buf[len(buf):end]); err != nil {
+			return nil, err
+		}
+		buf = buf[:end]
+	}
+	return buf, nil
 }
 
 // decodeRaw decodes a buffered body, answering 400 on malformed JSON.

@@ -205,9 +205,10 @@ func (idx *MDIndex) closest(w, out geom.Vector, s *engine.Scratch) (float64, err
 	best := math.Inf(1)
 	bestAng := s.Probe(m)
 	found := false
+	cons, coef := s.Constraints()
 	for _, reg := range idx.Sat {
-		ws.Cons, ws.Coef = idx.Arr.ConstraintsInto(ws.Cons, ws.Coef, reg)
-		p, dist, err := ws.ClosestAnglePoint(q, ws.Cons, idx.Arr.Box, nlp.Options{}, rng)
+		cons, coef = idx.Arr.ConstraintsInto(cons, coef, reg)
+		p, dist, err := ws.ClosestAnglePoint(q, cons, idx.Arr.Box, nlp.Options{}, rng)
 		if err != nil {
 			continue // degenerate region; skip
 		}
@@ -217,6 +218,7 @@ func (idx *MDIndex) closest(w, out geom.Vector, s *engine.Scratch) (float64, err
 			found = true
 		}
 	}
+	s.SetConstraints(cons, coef)
 	if !found {
 		return 0, ErrUnsatisfiable
 	}

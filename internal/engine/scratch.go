@@ -4,6 +4,7 @@ import (
 	"fairrank/internal/dataset"
 	"fairrank/internal/fairness"
 	"fairrank/internal/geom"
+	"fairrank/internal/lp"
 	"fairrank/internal/nlp"
 	"fairrank/internal/ranking"
 )
@@ -11,16 +12,19 @@ import (
 // Scratch is the per-worker arena a SuggestBatch kernel reuses across the
 // queries of a chunk: one ranking buffer (scores + order), one polar-angle
 // buffer, two cartesian probe vectors, the exact engine's solver workspace
-// (see Solver), and the resumable-kernel cursor (see
-// Engine.SuggestBatchSorted). The batch layer keeps Scratches in a pool, so
-// steady-state batch traffic allocates only the per-chunk answer arenas. A
-// Scratch must not be shared between concurrent kernels.
+// and constraint staging buffers (see Solver and Constraints), and the
+// resumable-kernel cursor (see Engine.SuggestBatchSorted). The batch layer
+// keeps Scratches in a pool, so steady-state batch traffic allocates only
+// the per-chunk answer arenas. A Scratch must not be shared between
+// concurrent kernels.
 type Scratch struct {
 	rank   ranking.Buffers
 	angles geom.Angles
 	probe  geom.Angles
 	va, vb geom.Vector
 	solver nlp.Workspace
+	cons   []lp.Constraint
+	coef   []float64
 
 	// resume is engine-private cursor state a resumable kernel parks between
 	// consecutive queries (the 2D engine's interval cursor, the grid engine's
@@ -89,12 +93,25 @@ func (s *Scratch) Reset() {
 		s.va, s.vb = nil, nil
 	}
 	s.solver.Trim(maxRetainedSolver)
+	if cap(s.cons) > maxRetainedSolver || cap(s.coef) > maxRetainedSolver {
+		s.cons, s.coef = nil, nil
+	}
 }
 
 // Solver returns the scratch's NLP/LP workspace. The exact engine's kernel
 // borrows it for one query at a time: every region solve of that query runs
 // through it, and nothing it returns outlives the query.
 func (s *Scratch) Solver() *nlp.Workspace { return &s.solver }
+
+// Constraints returns the staging buffers the exact engine's kernel
+// materializes each region's constraint system into
+// (arrangement.ConstraintsInto overwrites them); it hands the grown buffers
+// back through SetConstraints.
+func (s *Scratch) Constraints() ([]lp.Constraint, []float64) { return s.cons, s.coef }
+
+// SetConstraints keeps the (possibly grown) staging buffers for the next
+// region.
+func (s *Scratch) SetConstraints(cons []lp.Constraint, coef []float64) { s.cons, s.coef = cons, coef }
 
 // OrderFor ranks ds under w into the scratch buffers: the O(n + k log k)
 // partial ordering when the oracle's inspection depth k is known, the full

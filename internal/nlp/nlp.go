@@ -53,12 +53,6 @@ func ClosestAnglePoint(query geom.Angles, cons []lp.Constraint, box geom.Box, op
 // arithmetic, same rng draws). The zero value is ready to use; a Workspace
 // must not be shared between concurrent solves.
 type Workspace struct {
-	// Cons and Coef are staging buffers the caller may materialize a
-	// region's constraints into (arrangement.ConstraintsInto) before
-	// passing them back to ClosestAnglePoint, which never touches them.
-	Cons []lp.Constraint
-	Coef []float64
-
 	lp  lp.Workspace
 	rng *rand.Rand
 
@@ -77,14 +71,9 @@ func (w *Workspace) Rand(seed int64) *rand.Rand {
 	return w.rng
 }
 
-// Trim releases staging and LP buffers whose capacity exceeds max elements,
-// so a pooled workspace does not pin memory grown by one huge region.
-func (w *Workspace) Trim(max int) {
-	if cap(w.Cons) > max || cap(w.Coef) > max {
-		w.Cons, w.Coef = nil, nil
-	}
-	w.lp.Trim(max)
-}
+// Trim releases LP buffers whose capacity exceeds max elements, so a pooled
+// workspace does not pin memory grown by one huge region.
+func (w *Workspace) Trim(max int) { w.lp.Trim(max) }
 
 func vec(buf *geom.Vector, n int) geom.Vector {
 	if cap(*buf) < n {

@@ -181,28 +181,28 @@ type Plan struct {
 func (p *Plan) PassThrough() bool { return p.Queries == nil }
 
 // Describe summarizes the plan's decisions in one short line — the trace
-// annotation for the "planner" stage of a batch request. It is built in a
-// stack buffer, so the note costs one allocation whatever the numbers in it.
+// annotation for the "planner" stage of a batch request. It appends into a
+// stack buffer rather than calling fmt.Sprintf, which boxes every int of 256
+// or more into an allocated interface: the note would then cost more
+// allocations for a large batch than for a small one.
 func (p *Plan) Describe() string {
 	var buf [128]byte
 	b := buf[:0]
 	if p.PassThrough() {
-		b = appendField(append(b, "pass-through"...), "chunk", p.ChunkSize)
-		return string(appendField(b, "workers", p.Workers))
+		b = append(b, "pass-through chunk="...)
+		b = strconv.AppendInt(b, int64(p.ChunkSize), 10)
+	} else {
+		b = append(b, "kernel_slots="...)
+		b = strconv.AppendInt(b, int64(len(p.Queries)), 10)
+		b = append(b, " dup_slots="...)
+		b = strconv.AppendInt(b, int64(p.dupSlots), 10)
+		b = append(b, " sorted="...)
+		b = strconv.AppendBool(b, p.Sorted)
+		b = append(b, " chunk="...)
+		b = strconv.AppendInt(b, int64(p.ChunkSize), 10)
 	}
-	b = appendField(append(b, "kernel_slots="...), "", len(p.Queries))
-	b = appendField(b, "dup_slots", p.dupSlots)
-	b = strconv.AppendBool(append(b, " sorted="...), p.Sorted)
-	b = appendField(b, "chunk", p.ChunkSize)
-	return string(appendField(b, "workers", p.Workers))
-}
-
-// appendField appends " name=v" (just v when name is empty).
-func appendField(b []byte, name string, v int) []byte {
-	if name != "" {
-		b = append(append(append(b, ' '), name...), '=')
-	}
-	return strconv.AppendInt(b, int64(v), 10)
+	b = append(b, " workers="...)
+	return string(strconv.AppendInt(b, int64(p.Workers), 10))
 }
 
 // Plan decides one batch's schedule from the current observables. qs is not

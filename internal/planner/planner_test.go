@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -312,6 +313,22 @@ func TestFirstSlotsMatchesRawKeyMap(t *testing.T) {
 			if j != want {
 				t.Fatalf("it %d: slot %d (%v) maps to %d, want %d", it, i, qs[i], j, want)
 			}
+		}
+	}
+}
+
+// Describe must print what fmt.Sprintf printed for the same plan.
+func TestDescribeMatchesSprintf(t *testing.T) {
+	for _, n := range []int{0, 7, 300, 1 << 20} {
+		pass := Plan{ChunkSize: n + 1, Workers: n % 5}
+		if got, want := pass.Describe(), fmt.Sprintf("pass-through chunk=%d workers=%d", pass.ChunkSize, pass.Workers); got != want {
+			t.Errorf("pass-through: %q, want %q", got, want)
+		}
+		p := Plan{Queries: make([]geom.Vector, n), dupSlots: 2 * n, Sorted: n%2 == 0, ChunkSize: n + 3, Workers: 4}
+		want := fmt.Sprintf("kernel_slots=%d dup_slots=%d sorted=%t chunk=%d workers=%d",
+			len(p.Queries), p.dupSlots, p.Sorted, p.ChunkSize, p.Workers)
+		if got := p.Describe(); got != want {
+			t.Errorf("planned: %q, want %q", got, want)
 		}
 	}
 }

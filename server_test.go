@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"fairrank/internal/datagen"
@@ -470,5 +472,44 @@ func TestServerRevalidateDriftTriggersRebuild(t *testing.T) {
 				t.Fatalf("designer stopped serving after revalidate: %v", err)
 			}
 		})
+	}
+}
+
+// readBody returns exactly the declared bytes for bodies on both sides of
+// the up-front buffer bound, however the reader splits them, and answers 400
+// for a body shorter than its Content-Length.
+func TestReadBodyDeclaredLength(t *testing.T) {
+	for _, n := range []int{0, 1, 100, maxUpfrontBody - 1, maxUpfrontBody, maxUpfrontBody + 1, 3*maxUpfrontBody + 7} {
+		want := make([]byte, n)
+		for i := range want {
+			want[i] = byte(i*7 + i>>11)
+		}
+		req := httptest.NewRequest("POST", "/", iotest.HalfReader(bytes.NewReader(want)))
+		req.ContentLength = int64(n)
+		got, ok := readBody(httptest.NewRecorder(), req)
+		if !ok || !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: readBody ok=%v, %d bytes, equal=%v", n, ok, len(got), bytes.Equal(got, want))
+		}
+	}
+	req := httptest.NewRequest("POST", "/", strings.NewReader("short"))
+	req.ContentLength = 10
+	rec := httptest.NewRecorder()
+	if _, ok := readBody(rec, req); ok || rec.Code != http.StatusBadRequest {
+		t.Fatalf("short body: ok=%v, HTTP %d; want a 400", ok, rec.Code)
+	}
+}
+
+// A client that declares the largest allowed body but sends only a few
+// bytes holds about as much memory as it sent, not its declared length.
+func TestReadBodyDeclaredLengthAllocatesAsBytesArrive(t *testing.T) {
+	req := httptest.NewRequest("POST", "/", strings.NewReader(`{"weights":[1,2]}`))
+	req.ContentLength = maxBodyBytes
+	var ok bool
+	got := allocatedBytes(func() { _, ok = readBody(httptest.NewRecorder(), req) })
+	if ok {
+		t.Fatal("accepted a body shorter than its Content-Length")
+	}
+	if got > 2*maxUpfrontBody {
+		t.Errorf("a %d-byte declared length with a 17-byte body allocated %d bytes", maxBodyBytes, got)
 	}
 }
