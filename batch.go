@@ -20,13 +20,6 @@ import (
 // result type, so a batch reaches the HTTP encoder without re-boxing.
 type BatchResult = service.Result
 
-// scratchPool recycles per-worker batch arenas (ranking buffers, polar
-// scratch, resumable-kernel cursors) across SuggestBatch calls, so
-// steady-state batch traffic costs a constant number of allocations per
-// chunk regardless of engine. Scratches are Reset before going back — the
-// cursor must not leak across batches and grown buffers must not pin memory.
-var scratchPool = sync.Pool{New: func() any { return new(engine.Scratch) }}
-
 // SuggestBatch answers many design queries in one call. Results line up
 // with the queries; each slot holds the same answer (and the same error,
 // e.g. ErrUnsatisfiable) that Suggest would return for that query alone.
@@ -108,11 +101,10 @@ func (d *Designer) runKernel(raw []engine.Result, qs []geom.Vector, p *planner.P
 		run = d.eng.SuggestBatchSorted
 	}
 	if p.Workers <= 1 {
-		s := scratchPool.Get().(*engine.Scratch)
+		s := engine.GetScratch()
 		run(raw, qs, s)
 		hits := s.TakeResumeHits()
-		s.Reset()
-		scratchPool.Put(s)
+		engine.PutScratch(s)
 		return hits
 	}
 	chunk := p.ChunkSize
@@ -123,7 +115,7 @@ func (d *Designer) runKernel(raw []engine.Result, qs []geom.Vector, p *planner.P
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := scratchPool.Get().(*engine.Scratch)
+			s := engine.GetScratch()
 			for {
 				c := int(next.Add(1)) - 1
 				if c >= numChunks {
@@ -137,8 +129,7 @@ func (d *Designer) runKernel(raw []engine.Result, qs []geom.Vector, p *planner.P
 				run(raw[lo:hi], qs[lo:hi], s)
 			}
 			hits.Add(s.TakeResumeHits())
-			s.Reset()
-			scratchPool.Put(s)
+			engine.PutScratch(s)
 		}()
 	}
 	wg.Wait()

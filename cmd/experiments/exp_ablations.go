@@ -22,8 +22,10 @@ func init() {
 
 // runAblDepth quantifies the oracle-probe fast path: when the oracle
 // declares the prefix it inspects (fairness.InspectionDepth), every probe
-// ranks partially in O(n + k log k) instead of O(n log n). An opaque
-// wrapper hides the depth and forces full sorts.
+// ranks partially — the O(n) top-k set for an order-free oracle such as the
+// default one, the O(n + k log k) sorted prefix otherwise — instead of
+// sorting in O(n log n). An opaque wrapper hides the depth and forces full
+// sorts.
 func runAblDepth(cfg config) {
 	n := 150
 	if cfg.full {

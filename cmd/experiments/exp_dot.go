@@ -10,9 +10,9 @@ import (
 	"fairrank/internal/cells"
 	"fairrank/internal/datagen"
 	"fairrank/internal/dataset"
+	"fairrank/internal/engine"
 	"fairrank/internal/fairness"
 	"fairrank/internal/geom"
-	"fairrank/internal/ranking"
 )
 
 func init() {
@@ -103,23 +103,17 @@ func runDOT(cfg config) {
 		}
 		keys = sampled
 	}
-	depth := fairness.InspectionDepth(fullOracle)
+	check := engine.NewChecker(fullOracle)
+	var s engine.Scratch
 	satisfied, total := 0, 0
 	for _, k := range keys {
 		f := distinct[key(k)]
-		w := f.ToCartesian(1)
-		var order []int
-		var err error
-		if depth > 0 {
-			order, err = ranking.PartialOrder(ds, w, depth)
-		} else {
-			order, err = ranking.Order(ds, w)
-		}
+		fair, err := s.CheckFair(ds, check, f.ToCartesian(1))
 		if err != nil {
 			log.Fatal(err)
 		}
 		total++
-		if fullOracle.Check(order) {
+		if fair {
 			satisfied++
 		}
 	}

@@ -270,11 +270,9 @@ func (d *Designer) Satisfiable() bool { return d.eng.Satisfiable() }
 
 // IsFair evaluates the oracle directly on the ordering induced by w.
 func (d *Designer) IsFair(w []float64) (bool, error) {
-	order, err := ranking.Order(d.ds, geom.Vector(w))
-	if err != nil {
-		return false, err
-	}
-	return d.oracle.Check(order), nil
+	s := engine.GetScratch()
+	defer engine.PutScratch(s)
+	return s.CheckFair(d.ds, engine.NewChecker(d.oracle), geom.Vector(w))
 }
 
 // Rank returns the item indices ordered by descending score under w.

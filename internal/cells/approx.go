@@ -10,9 +10,9 @@ import (
 
 	"fairrank/internal/arrangement"
 	"fairrank/internal/dataset"
+	"fairrank/internal/engine"
 	"fairrank/internal/fairness"
 	"fairrank/internal/geom"
-	"fairrank/internal/ranking"
 )
 
 // ErrUnsatisfiable is returned by Query when no cell anywhere holds a
@@ -142,22 +142,29 @@ func preprocessWith(ds *dataset.Dataset, oracle fairness.Oracle, n int, opt Opti
 	a.Times.Assign = time.Since(start)
 
 	var oracleCalls atomic.Int64
-	depth := fairness.InspectionDepth(oracle)
-	check := func(theta geom.Angles) bool {
-		w := theta.ToCartesian(1)
-		order, err := orderForOracle(ds, w, depth)
-		if err != nil {
-			return false
+	checker := engine.NewChecker(oracle)
+	// One scratch and one weight vector per MARKCELL worker: the probes of
+	// a build and of a repair rank through the same buffers, query after
+	// query.
+	newCheck := func() CheckFunc {
+		var s engine.Scratch
+		w := make(geom.Vector, ds.D())
+		return func(theta geom.Angles) bool {
+			theta.ToCartesianInto(1, w)
+			fair, err := s.CheckFair(ds, checker, w)
+			if err != nil {
+				return false
+			}
+			oracleCalls.Add(1)
+			return fair
 		}
-		oracleCalls.Add(1)
-		return oracle.Check(order)
 	}
 	start = time.Now()
 	workers := opt.Workers
 	if workers == 0 {
 		workers = 1
 	}
-	a.MarkStats = MarkCellsParallel(grid, hps, check, rng.Int63(), opt.MaxRegionsPerCell, workers)
+	a.MarkStats = MarkCellsParallel(grid, hps, newCheck, rng.Int63(), opt.MaxRegionsPerCell, workers)
 	a.Times.Mark = time.Since(start)
 
 	start = time.Now()
@@ -197,64 +204,77 @@ func (a *Approx) QueryRefined(w geom.Vector) (geom.Vector, float64, error) {
 }
 
 // query is Query (refine false) or QueryRefined (refine true), also
-// reporting the oracle's verdict on the query itself.
+// reporting the oracle's verdict on the query itself. It runs answer
+// through a pooled scratch, so a query allocates only its answer.
 func (a *Approx) query(w geom.Vector, refine bool) (out geom.Vector, dist float64, fair bool, err error) {
 	if len(w) != a.DS.D() {
 		return nil, 0, false, fmt.Errorf("cells: query dimension %d, want %d", len(w), a.DS.D())
 	}
-	order, err := orderForOracle(a.DS, w, fairness.InspectionDepth(a.Oracle))
+	s := engine.GetScratch()
+	defer engine.PutScratch(s)
+	out = make(geom.Vector, len(w))
+	dist, fair, _, _, err = a.answer(w, out, refine, engine.NewChecker(a.Oracle), s, nil)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	if a.Oracle.Check(order) {
-		return w.Clone(), 0, true, nil
-	}
-	r, q, err := geom.ToPolar(w)
+	return out, dist, fair, nil
+}
+
+// answer is the one copy of MDONLINE's per-query step, shared by the scalar
+// query and both batch kernels: when the query is already satisfactory it
+// is copied into out unchanged, otherwise the closest stored function
+// (bestStored, with cell cursor last) is written into out at the
+// query's magnitude. w must have the index's dimension; out must have w's
+// length. The fairness check, the polar conversion, the cell probes and the
+// angular distances all run through s. Returns the distance, the verdict,
+// and the cursor for the next query with whether this one reused last.
+func (a *Approx) answer(w, out geom.Vector, refine bool, c engine.Checker, s *engine.Scratch, last *Cell) (dist float64, fair bool, next *Cell, resumed bool, err error) {
+	fair, err = s.CheckFair(a.DS, c, w)
 	if err != nil {
-		return nil, 0, false, err
+		return 0, false, last, false, err
 	}
-	var probe geom.Angles
-	if refine {
-		probe = q.Clone()
+	if fair {
+		copy(out, w)
+		return 0, true, last, false, nil
 	}
-	bestF, best := a.bestStored(q, refine, probe, geom.AngleDistance)
+	m := len(w) - 1
+	r, q, err := geom.ToPolarInto(w, s.Angles(m))
+	if err != nil {
+		return 0, false, last, false, err
+	}
+	bestF, best, next, resumed := a.bestStored(q, refine, s, last)
 	if bestF == nil {
-		return nil, 0, false, ErrUnsatisfiable
+		return 0, false, next, resumed, ErrUnsatisfiable
 	}
-	return bestF.ToCartesian(r), best, false, nil
+	bestF.ToCartesianInto(r, out)
+	return best, false, next, resumed, nil
 }
 
-// bestStored is the one copy of the cell-probe policy shared by the scalar
-// and batch query paths: the closest stored function among the located
-// cell's and — when refine is set — those of the 2(d−1) axis-adjacent
-// cells. probe must be a scratch angle buffer of q's length when refine is
-// set (unused otherwise); dist supplies the angular distance so callers can
-// choose the allocating or the scratch-buffered implementation. Returns
-// (nil, +Inf) when no considered cell holds a function.
-func (a *Approx) bestStored(q geom.Angles, refine bool, probe geom.Angles, dist func(a, b geom.Angles) (float64, error)) (geom.Angles, float64) {
-	bestF, best, _, _ := a.bestStoredResume(q, refine, probe, dist, nil)
-	return bestF, best
-}
-
-// bestStoredResume is bestStored with a cell cursor: last is the cell the
-// previous query located (nil when none). When q lies strictly inside last's
-// box the partition-tree descent is skipped and last is reused; containment
-// is checked against the cell's own bounds — the exact boundary values
-// Locate compares with — under half-open [Lo, Hi) semantics, so every case
-// where Locate would answer differently (q on an upper bound, at π/2, or
-// Eps-negative) fails the check and falls back to the full descent. The
-// located cell is therefore identical with or without a cursor. Refinement
-// probes always run the full Locate: they step Gamma away from q,
-// deliberately off-cell. Returns bestStored's answer plus the located cell
-// (the next cursor) and whether the cursor carried.
-func (a *Approx) bestStoredResume(q geom.Angles, refine bool, probe geom.Angles, dist func(a, b geom.Angles) (float64, error), last *Cell) (geom.Angles, float64, *Cell, bool) {
+// bestStored is the cell-probe policy of every query path: the closest
+// stored function among the located cell's and — when refine is set —
+// those of the 2(d−1) axis-adjacent cells, with angular distances and the
+// refinement probe angles in s's buffers. Returns (nil, +Inf) when no
+// considered cell holds a function.
+//
+// last is a cell cursor: the cell the previous query located (nil when
+// none). When q lies strictly inside last's box the partition-tree descent
+// is skipped and last is reused; containment is checked against the cell's
+// own bounds — the exact boundary values Locate compares with — under
+// half-open [Lo, Hi) semantics, so every case where Locate would answer
+// differently (q on an upper bound, at π/2, or Eps-negative) fails the
+// check and falls back to the full descent. The located cell is therefore
+// identical with or without a cursor. Refinement probes always run the full
+// Locate: they step Gamma away from q, deliberately off-cell. Besides the
+// answer it returns the located cell (the next cursor) and whether the
+// cursor carried.
+func (a *Approx) bestStored(q geom.Angles, refine bool, s *engine.Scratch, last *Cell) (geom.Angles, float64, *Cell, bool) {
 	best := math.Inf(1)
 	var bestF geom.Angles
 	consider := func(c *Cell) {
 		if c == nil || c.F == nil {
 			return
 		}
-		if d, err := dist(q, c.F); err == nil && d < best {
+		if d, err := s.AngleDistance(q, c.F); err == nil && d < best {
 			best, bestF = d, c.F
 		}
 	}
@@ -265,6 +285,7 @@ func (a *Approx) bestStoredResume(q geom.Angles, refine bool, probe geom.Angles,
 	}
 	consider(located)
 	if refine {
+		probe := s.Probe(len(q))
 		copy(probe, q)
 		for k := 0; k < a.DS.D()-1; k++ {
 			for _, delta := range [2]float64{-a.Grid.Gamma, a.Grid.Gamma} {
@@ -314,14 +335,4 @@ func Theorem6Bound(d, n int) float64 {
 		arg = 1
 	}
 	return 4 * math.Asin(arg)
-}
-
-// orderForOracle ranks the dataset for an oracle probe, using the
-// O(n + k log k) partial ordering when the oracle's inspection depth is
-// known (fairness.InspectionDepth) and the full sort otherwise.
-func orderForOracle(ds *dataset.Dataset, w geom.Vector, depth int) ([]int, error) {
-	if depth > 0 {
-		return ranking.PartialOrder(ds, w, depth)
-	}
-	return ranking.Order(ds, w)
 }

@@ -35,59 +35,20 @@ func (e approxEngine) Suggest(w geom.Vector) engine.Result {
 	}
 	out, dist, fair, err := e.a.query(w, e.refine)
 	if err != nil {
-		if errors.Is(err, ErrUnsatisfiable) {
-			err = engine.ErrUnsatisfiable
-		}
-		return engine.Result{Err: err}
+		return engine.Result{Err: engineErr(err)}
 	}
 	return engine.Result{Weights: out, Distance: dist, AlreadyFair: fair}
 }
 
-// SuggestBatch is the grid-engine arena kernel: the fairness check ranks
-// through the worker's shared partial-order buffer, the polar conversion and
-// the Locate probes reuse the scratch angle buffers, angular distances go
-// through the scratch vectors, and every answer is carved from one per-chunk
-// arena — a constant number of allocations per chunk instead of three per
-// query. All arithmetic matches the scalar Query/QueryRefined paths step for
-// step, so answers are bit-identical.
+// SuggestBatch is the grid-engine arena kernel: every query runs answer
+// through the worker's scratch — the fairness check ranks through its
+// buffers, the polar conversion and the Locate probes reuse its angle
+// buffers, angular distances go through its vectors — and every answer is
+// carved from one per-chunk arena, a constant number of allocations per
+// chunk. The scalar Query/QueryRefined paths run the same answer, so
+// answers are bit-identical.
 func (e approxEngine) SuggestBatch(dst []engine.Result, queries []geom.Vector, s *engine.Scratch) {
-	a := e.a
-	d := a.DS.D()
-	depth := fairness.InspectionDepth(a.Oracle)
-	arena := make([]float64, d*len(queries))
-	for i, q := range queries {
-		if len(q) != d {
-			dst[i] = engine.Result{Err: fmt.Errorf("cells: query dimension %d, want %d", len(q), d)}
-			continue
-		}
-		if err := engine.CheckFinite(q); err != nil {
-			dst[i] = engine.Result{Err: err}
-			continue
-		}
-		fair, err := s.CheckFair(a.DS, a.Oracle, q, depth)
-		if err != nil {
-			dst[i] = engine.Result{Err: err}
-			continue
-		}
-		out := geom.Vector(arena[d*i : d*(i+1) : d*(i+1)])
-		if fair {
-			copy(out, q)
-			dst[i] = engine.Result{Weights: out, AlreadyFair: true}
-			continue
-		}
-		r, qa, err := geom.ToPolarInto(q, s.Angles(d-1))
-		if err != nil {
-			dst[i] = engine.Result{Err: err}
-			continue
-		}
-		bestF, best := a.bestStored(qa, e.refine, s.Probe(d-1), s.AngleDistance)
-		if bestF == nil {
-			dst[i] = engine.Result{Err: engine.ErrUnsatisfiable}
-			continue
-		}
-		bestF.ToCartesianInto(r, out)
-		dst[i] = engine.Result{Weights: out, Distance: best}
-	}
+	e.suggestBatch(dst, queries, s, nil)
 }
 
 // cellsCursor is the grid engine's resumable state: the identity of the
@@ -104,17 +65,29 @@ type cellsCursor struct {
 // consecutive queries: when the planner delivers angular neighbors
 // back-to-back, the next query usually falls in the same grid cell and the
 // partition-tree descent is skipped. Every reuse is guarded by an exact
-// containment check against the cell's own bounds (bestStoredResume), so
-// answers are bit-identical to SuggestBatch for any query order.
+// containment check against the cell's own bounds (bestStored), so answers
+// are bit-identical to SuggestBatch for any query order.
 func (e approxEngine) SuggestBatchSorted(dst []engine.Result, queries []geom.Vector, s *engine.Scratch) {
+	cur, _ := s.Resume().(*cellsCursor)
+	if cur == nil || cur.a != e.a {
+		cur = &cellsCursor{a: e.a}
+	}
+	e.suggestBatch(dst, queries, s, cur)
+	s.SetResume(cur)
+}
+
+// suggestBatch is both kernels: with a nil cursor every query locates its
+// cell from scratch, otherwise cur carries the located cell from query to
+// query and the resumed ones count as resume hits.
+func (e approxEngine) suggestBatch(dst []engine.Result, queries []geom.Vector, s *engine.Scratch, cur *cellsCursor) {
 	a := e.a
 	d := a.DS.D()
-	depth := fairness.InspectionDepth(a.Oracle)
-	cur, _ := s.Resume().(*cellsCursor)
-	if cur == nil || cur.a != a {
-		cur = &cellsCursor{a: a}
-	}
+	check := engine.NewChecker(a.Oracle)
 	arena := make([]float64, d*len(queries))
+	var last *Cell
+	if cur != nil {
+		last = cur.last
+	}
 	hits := 0
 	for i, q := range queries {
 		if len(q) != d {
@@ -125,38 +98,34 @@ func (e approxEngine) SuggestBatchSorted(dst []engine.Result, queries []geom.Vec
 			dst[i] = engine.Result{Err: err}
 			continue
 		}
-		fair, err := s.CheckFair(a.DS, a.Oracle, q, depth)
-		if err != nil {
-			dst[i] = engine.Result{Err: err}
-			continue
-		}
 		out := geom.Vector(arena[d*i : d*(i+1) : d*(i+1)])
-		if fair {
-			copy(out, q)
-			dst[i] = engine.Result{Weights: out, AlreadyFair: true}
-			continue
+		dist, fair, next, resumed, err := a.answer(q, out, e.refine, check, s, last)
+		if cur != nil {
+			last = next
+			if resumed {
+				hits++
+			}
 		}
-		r, qa, err := geom.ToPolarInto(q, s.Angles(d-1))
 		if err != nil {
-			dst[i] = engine.Result{Err: err}
+			dst[i] = engine.Result{Err: engineErr(err)}
 			continue
 		}
-		bestF, best, located, resumed := a.bestStoredResume(qa, e.refine, s.Probe(d-1), s.AngleDistance, cur.last)
-		cur.last = located
-		if resumed {
-			hits++
-		}
-		if bestF == nil {
-			dst[i] = engine.Result{Err: engine.ErrUnsatisfiable}
-			continue
-		}
-		bestF.ToCartesianInto(r, out)
-		dst[i] = engine.Result{Weights: out, Distance: best}
+		dst[i] = engine.Result{Weights: out, Distance: dist, AlreadyFair: fair}
 	}
-	if hits > 0 {
-		s.AddResumeHits(hits)
+	if cur != nil {
+		cur.last = last
+		if hits > 0 {
+			s.AddResumeHits(hits)
+		}
 	}
-	s.SetResume(cur)
+}
+
+// engineErr maps the package sentinel onto the engine-level one.
+func engineErr(err error) error {
+	if errors.Is(err, ErrUnsatisfiable) {
+		return engine.ErrUnsatisfiable
+	}
+	return err
 }
 
 // revalidateSample caps how many marked cells one Revalidate pass re-probes:
@@ -192,19 +161,21 @@ func (a *Approx) Revalidate(ds *dataset.Dataset, oracle fairness.Oracle) (engine
 	if len(marked) > revalidateSample {
 		stride = (len(marked) + revalidateSample - 1) / revalidateSample
 	}
-	depth := fairness.InspectionDepth(oracle)
 	counter := &fairness.Counter{O: oracle}
+	check := engine.NewChecker(counter)
+	s := engine.GetScratch()
+	defer engine.PutScratch(s)
 	w := make(geom.Vector, ds.D())
 	var report engine.DriftReport
 	for i := 0; i < len(marked); i += stride {
 		c := marked[i]
 		c.F.ToCartesianInto(1, w)
-		order, err := orderForOracle(ds, w, depth)
+		fair, err := s.CheckFair(ds, check, w)
 		if err != nil {
 			return engine.DriftReport{}, err
 		}
 		report.Probes++
-		if counter.Check(order) {
+		if fair {
 			report.StillSatisfactory++
 		} else {
 			report.Violations = append(report.Violations, c.Index)

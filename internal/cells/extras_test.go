@@ -28,8 +28,9 @@ func TestMarkCellsParallelMatchesSerial(t *testing.T) {
 	g2.AssignHyperplanes(hps)
 	// A deterministic oracle: satisfactory iff θ1 + θ2 < 1.1.
 	check := func(a geom.Angles) bool { return a[0]+a[1] < 1.1 }
-	s1 := MarkCellsParallel(g1, hps, check, 1, 0, 1)
-	s2 := MarkCellsParallel(g2, hps, check, 1, 0, 4)
+	newCheck := func() CheckFunc { return check }
+	s1 := MarkCellsParallel(g1, hps, newCheck, 1, 0, 1)
+	s2 := MarkCellsParallel(g2, hps, newCheck, 1, 0, 4)
 	if s1.Marked != s2.Marked {
 		t.Fatalf("marked counts differ: serial %d vs parallel %d", s1.Marked, s2.Marked)
 	}

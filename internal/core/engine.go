@@ -9,7 +9,6 @@ import (
 	"fairrank/internal/engine"
 	"fairrank/internal/fairness"
 	"fairrank/internal/geom"
-	"fairrank/internal/ranking"
 )
 
 // revalidateSample caps how many attestable witnesses one Revalidate pass
@@ -47,14 +46,13 @@ func engineErr(err error) error {
 	return err
 }
 
-// SuggestBatch is the exact-engine arena kernel. The fairness check — the
-// whole cost of the common already-fair query — ranks through the worker's
-// shared scratch buffers (the partial ordering when the oracle's inspection
-// depth is known, which by the InspectionDepth contract gives the identical
-// verdict to Baseline's full sort). Unfair queries run the per-region NLP
-// solves through the scratch's solver workspace. Every answer is written
-// into one per-chunk arena, so a chunk costs a constant number of
-// allocations whatever its verdicts and however many regions are solved.
+// SuggestBatch is the exact-engine arena kernel: every query runs answer
+// through the worker's scratch. The fairness check — the whole cost of the
+// common already-fair query — ranks through the scratch buffers (see
+// engine.Scratch.CheckFair); unfair queries run the per-region NLP solves
+// through the scratch's solver workspace. Every answer is written into one
+// per-chunk arena, so a chunk costs a constant number of allocations
+// whatever its verdicts and however many regions are solved.
 //
 // Workspace ownership: the kernel's caller owns s for the whole chunk and
 // must not share it with another kernel; closest borrows s's solver
@@ -63,7 +61,7 @@ func engineErr(err error) error {
 func (e mdEngine) SuggestBatch(dst []engine.Result, queries []geom.Vector, s *engine.Scratch) {
 	idx := e.idx
 	d := idx.DS.D()
-	depth := fairness.InspectionDepth(idx.Oracle)
+	check := engine.NewChecker(idx.Oracle)
 	arena := make([]float64, d*len(queries))
 	for i, q := range queries {
 		if len(q) != d {
@@ -75,23 +73,13 @@ func (e mdEngine) SuggestBatch(dst []engine.Result, queries []geom.Vector, s *en
 			dst[i] = engine.Result{Err: err}
 			continue
 		}
-		fair, err := s.CheckFair(idx.DS, idx.Oracle, q, depth)
-		if err != nil {
-			dst[i] = engine.Result{Err: err}
-			continue
-		}
 		out := geom.Vector(arena[d*i : d*(i+1) : d*(i+1)])
-		if fair {
-			copy(out, q)
-			dst[i] = engine.Result{Weights: out, AlreadyFair: true}
-			continue
-		}
-		dist, err := idx.closest(q, out, s)
+		dist, fair, err := idx.answer(q, out, check, s)
 		if err != nil {
 			dst[i] = engine.Result{Err: engineErr(err)}
 			continue
 		}
-		dst[i] = engine.Result{Weights: out, Distance: dist}
+		dst[i] = engine.Result{Weights: out, Distance: dist, AlreadyFair: fair}
 	}
 }
 
@@ -112,8 +100,8 @@ func (e mdEngine) SuggestBatchSorted(dst []engine.Result, queries []geom.Vector,
 // list.
 //
 // Probes are drawn as an evenly-strided sample of at most revalidateSample
-// regions (mirroring the grid engine: each probe is a full O(n log n)
-// ranking, so the cap keeps one drift check bounded regardless of |Sat|).
+// regions (mirroring the grid engine: each probe ranks the whole dataset,
+// so the cap keeps one drift check bounded regardless of |Sat|).
 // A sampled witness is probed only when its verdict holds under a fresh
 // ranking of the BUILD dataset: capped or d > 2 arrangements label regions
 // approximately, and probing a witness the index could never attest would
@@ -141,24 +129,26 @@ func (idx *MDIndex) Revalidate(ds *dataset.Dataset, oracle fairness.Oracle) (eng
 	var report engine.DriftReport
 	buildCounter := &fairness.Counter{O: idx.Oracle}
 	counter := &fairness.Counter{O: oracle}
-	buildDepth := fairness.InspectionDepth(idx.Oracle)
-	depth := fairness.InspectionDepth(oracle)
+	buildCheck := engine.NewChecker(buildCounter)
+	check := engine.NewChecker(counter)
+	s := engine.GetScratch()
+	defer engine.PutScratch(s)
 	w := make(geom.Vector, ds.D())
 	for i := 0; i < len(idx.Sat); i += stride {
 		geom.Angles(idx.Sat[i].Witness).ToCartesianInto(1, w)
-		order, err := orderForDepth(idx.DS, w, buildDepth)
+		attested, err := s.CheckFair(idx.DS, buildCheck, w)
 		if err != nil {
 			return engine.DriftReport{}, err
 		}
-		if !buildCounter.Check(order) {
+		if !attested {
 			continue // unattestable: the label was approximate here
 		}
-		order, err = orderForDepth(ds, w, depth)
+		fair, err := s.CheckFair(ds, check, w)
 		if err != nil {
 			return engine.DriftReport{}, err
 		}
 		report.Probes++
-		if counter.Check(order) {
+		if fair {
 			report.StillSatisfactory++
 		} else {
 			report.Violations = append(report.Violations, i)
@@ -166,16 +156,6 @@ func (idx *MDIndex) Revalidate(ds *dataset.Dataset, oracle fairness.Oracle) (eng
 	}
 	report.OracleCalls = counter.Calls() + buildCounter.Calls()
 	return report, nil
-}
-
-// orderForDepth ranks for an oracle probe: the O(n + k log k) partial
-// ordering when the oracle's inspection depth is known, the full sort
-// otherwise (the same fast path the grid engine's probes use).
-func orderForDepth(ds *dataset.Dataset, w geom.Vector, depth int) ([]int, error) {
-	if depth > 0 {
-		return ranking.PartialOrder(ds, w, depth)
-	}
-	return ranking.Order(ds, w)
 }
 
 func (e mdEngine) Revalidate(ds *dataset.Dataset, oracle fairness.Oracle) (engine.DriftReport, error) {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"fairrank/internal/engine"
 	"fairrank/internal/fairness"
 	"fairrank/internal/geom"
 	"fairrank/internal/ranking"
@@ -34,6 +35,7 @@ func resolveLabelWorkers(workers, units int) int {
 func labelRegionsByWitness(idx *MDIndex, counter *fairness.Counter, workers int) error {
 	regions := idx.Arr.Regions()
 	workers = resolveLabelWorkers(workers, len(regions))
+	check := engine.NewChecker(counter)
 	var next atomic.Int64
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -41,7 +43,7 @@ func labelRegionsByWitness(idx *MDIndex, counter *fairness.Counter, workers int)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var bufs ranking.Buffers
+			var s engine.Scratch
 			for {
 				r := int(next.Add(1)) - 1
 				if r >= len(regions) {
@@ -49,12 +51,12 @@ func labelRegionsByWitness(idx *MDIndex, counter *fairness.Counter, workers int)
 				}
 				reg := regions[r]
 				wv := geom.Angles(reg.Witness).ToCartesian(1)
-				order, err := bufs.Order(idx.DS, wv)
+				fair, err := s.CheckFair(idx.DS, check, wv)
 				if err != nil {
 					errs[w] = err
 					return
 				}
-				reg.Satisfactory = counter.Check(order)
+				reg.Satisfactory = fair
 			}
 		}(w)
 	}

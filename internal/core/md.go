@@ -18,7 +18,6 @@ import (
 	"fairrank/internal/fairness"
 	"fairrank/internal/geom"
 	"fairrank/internal/nlp"
-	"fairrank/internal/ranking"
 )
 
 // ErrUnsatisfiable is returned when no region of the arrangement satisfies
@@ -160,30 +159,43 @@ func (idx *MDIndex) Baseline(w geom.Vector) (geom.Vector, float64, error) {
 	return out, dist, err
 }
 
-// baseline is Baseline also reporting the oracle's verdict on the query.
+// baseline is Baseline also reporting the oracle's verdict on the query. It
+// runs answer through a pooled scratch, so a query allocates only its
+// answer.
 func (idx *MDIndex) baseline(w geom.Vector) (out geom.Vector, dist float64, fair bool, err error) {
 	if len(w) != idx.DS.D() {
 		return nil, 0, false, fmt.Errorf("core: query dimension %d, want %d", len(w), idx.DS.D())
 	}
-	order, err := ranking.Order(idx.DS, w)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if idx.Oracle.Check(order) {
-		return w.Clone(), 0, true, nil
-	}
+	s := engine.GetScratch()
+	defer engine.PutScratch(s)
 	out = make(geom.Vector, len(w))
-	dist, err = idx.closest(w, out, new(engine.Scratch))
+	dist, fair, err = idx.answer(w, out, engine.NewChecker(idx.Oracle), s)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	return out, dist, false, nil
+	return out, dist, fair, nil
+}
+
+// answer is the one copy of the per-query step, shared by Baseline and the
+// batch kernel: when the query is already satisfactory it is copied into
+// out unchanged, otherwise closest writes the global minimizer into out. w
+// must have the index's dimension; out must have w's length.
+func (idx *MDIndex) answer(w, out geom.Vector, c engine.Checker, s *engine.Scratch) (dist float64, fair bool, err error) {
+	fair, err = s.CheckFair(idx.DS, c, w)
+	if err != nil {
+		return 0, false, err
+	}
+	if fair {
+		copy(out, w)
+		return 0, true, nil
+	}
+	dist, err = idx.closest(w, out, s)
+	return dist, false, err
 }
 
 // closest is Baseline's unfair-query path: the per-region NLP solves and the
 // global minimum, written into out (len(w) entries) at the query's
-// magnitude. The batch kernel calls it directly after its own (scratch-
-// buffered) fairness check, so both paths return identical answers. Every
+// magnitude. Every
 // solve runs through s's solver workspace and angle buffers, so a warm
 // scratch makes the whole query allocation-free, however many satisfactory
 // regions there are.

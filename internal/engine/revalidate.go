@@ -6,7 +6,6 @@ import (
 	"fairrank/internal/dataset"
 	"fairrank/internal/fairness"
 	"fairrank/internal/geom"
-	"fairrank/internal/ranking"
 )
 
 // unsatProbes is how many directions RevalidateUnsatisfiable samples.
@@ -54,23 +53,27 @@ func RevalidateUnsatisfiable(build *dataset.Dataset, buildOracle fairness.Oracle
 	}
 	baselineCounter := &fairness.Counter{O: buildOracle}
 	counter := &fairness.Counter{O: oracle}
+	baselineCheck := NewChecker(baselineCounter)
+	check := NewChecker(counter)
+	s := GetScratch()
+	defer PutScratch(s)
 	var report DriftReport
 	for i, w := range dirs {
 		if build != nil {
-			order, err := ranking.Order(build, w)
+			fair, err := s.CheckFair(build, baselineCheck, w)
 			if err != nil {
 				return DriftReport{}, err
 			}
-			if baselineCounter.Check(order) {
+			if fair {
 				continue // unattestable: the verdict never held here
 			}
 		}
-		order, err := ranking.Order(ds, w)
+		fair, err := s.CheckFair(ds, check, w)
 		if err != nil {
 			return DriftReport{}, err
 		}
 		report.Probes++
-		if counter.Check(order) {
+		if fair {
 			report.Violations = append(report.Violations, i)
 		} else {
 			report.StillSatisfactory++

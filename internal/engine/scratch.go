@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"sync"
+
 	"fairrank/internal/dataset"
 	"fairrank/internal/fairness"
 	"fairrank/internal/geom"
@@ -10,12 +12,14 @@ import (
 )
 
 // Scratch is the per-worker arena a SuggestBatch kernel reuses across the
-// queries of a chunk: one ranking buffer (scores + order), one polar-angle
-// buffer, two cartesian probe vectors, the exact engine's solver workspace
-// and constraint staging buffers (see Solver and Constraints), and the
-// resumable-kernel cursor (see Engine.SuggestBatchSorted). The batch layer
-// keeps Scratches in a pool, so steady-state batch traffic allocates only
-// the per-chunk answer arenas. A Scratch must not be shared between
+// queries of a chunk: one ranking buffer (scores, order and the top-k
+// selection copy, see CheckFair), one polar-angle buffer, two cartesian
+// probe vectors, the exact engine's solver workspace and constraint staging
+// buffers (see Solver and Constraints), and the resumable-kernel cursor
+// (see Engine.SuggestBatchSorted). Scratches live
+// in a process-wide pool (GetScratch, PutScratch) shared by the batch layer,
+// the engines' scalar Suggest and their drift checks, so steady-state
+// traffic allocates only the answers. A Scratch must not be shared between
 // concurrent kernels.
 type Scratch struct {
 	rank   ranking.Buffers
@@ -61,9 +65,9 @@ func (s *Scratch) TakeResumeHits() int64 {
 }
 
 // Retention caps for Reset: a pooled Scratch that served one giant dataset
-// must not pin its grown arrays forever. The ranking buffers hold one
-// float64 and one int per dataset item, so 1<<16 items bounds retention at
-// ~1 MiB per pooled scratch; the angle and probe buffers hold d−1 entries
+// must not pin its grown arrays forever. The ranking buffers hold two
+// float64s and one int per dataset item, so 1<<16 items bounds retention at
+// ~1.5 MiB per pooled scratch; the angle and probe buffers hold d−1 entries
 // and are capped far above any realistic dimensionality.
 const (
 	maxRetainedRankItems = 1 << 16
@@ -98,6 +102,21 @@ func (s *Scratch) Reset() {
 	}
 }
 
+// scratchPool recycles Scratches across batches, scalar queries and drift
+// checks; PutScratch resets each one before parking it, so no cursor leaks
+// between callers and no grown buffer pins memory.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// GetScratch takes a Scratch from the process-wide pool.
+func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+// PutScratch resets s (see Reset) and returns it to the pool; the caller
+// must not use it afterwards.
+func PutScratch(s *Scratch) {
+	s.Reset()
+	scratchPool.Put(s)
+}
+
 // Solver returns the scratch's NLP/LP workspace. The exact engine's kernel
 // borrows it for one query at a time: every region solve of that query runs
 // through it, and nothing it returns outlives the query.
@@ -113,26 +132,44 @@ func (s *Scratch) Constraints() ([]lp.Constraint, []float64) { return s.cons, s.
 // region.
 func (s *Scratch) SetConstraints(cons []lp.Constraint, coef []float64) { s.cons, s.coef = cons, coef }
 
-// OrderFor ranks ds under w into the scratch buffers: the O(n + k log k)
-// partial ordering when the oracle's inspection depth k is known, the full
-// sort otherwise. The returned slice aliases the scratch and is valid until
-// the next call.
-func (s *Scratch) OrderFor(ds *dataset.Dataset, w geom.Vector, depth int) ([]int, error) {
-	if depth > 0 {
-		return s.rank.PartialOrder(ds, w, depth)
-	}
-	return s.rank.Order(ds, w)
+// Checker is an oracle with its ranking needs classified once: its
+// inspection depth (fairness.InspectionDepth) and whether its verdict reads
+// only the top-depth set (fairness.OrderFree). A kernel builds one per
+// chunk or per probe loop, so the probes pay the type switches once.
+type Checker struct {
+	oracle    fairness.Oracle
+	depth     int
+	orderFree bool
 }
 
-// CheckFair evaluates the oracle on the ordering w induces, ranking through
-// the scratch buffers. depth is fairness.InspectionDepth(oracle), hoisted by
-// the caller so a chunk pays the type assertions once.
-func (s *Scratch) CheckFair(ds *dataset.Dataset, oracle fairness.Oracle, w geom.Vector, depth int) (bool, error) {
-	order, err := s.OrderFor(ds, w, depth)
+// NewChecker classifies o for CheckFair.
+func NewChecker(o fairness.Oracle) Checker {
+	return Checker{oracle: o, depth: fairness.InspectionDepth(o), orderFree: fairness.OrderFree(o)}
+}
+
+// CheckFair evaluates c's oracle on the ordering w induces over ds — the one
+// probe path of every query check, index build and drift check. It ranks
+// through the scratch buffers with the cheapest kernel that yields the
+// oracle's verdict: the O(n) top-k set (ranking.Buffers.TopSet) for an
+// order-free oracle, the O(n + k log k) sorted top-k prefix when only the
+// inspection depth is known, and the full sort otherwise. Every kernel
+// hands the oracle the same first-depth items the full sort would, so the
+// verdict is the full sort's.
+func (s *Scratch) CheckFair(ds *dataset.Dataset, c Checker, w geom.Vector) (bool, error) {
+	var order []int
+	var err error
+	switch {
+	case c.orderFree:
+		order, err = s.rank.TopSet(ds, w, c.depth)
+	case c.depth > 0:
+		order, err = s.rank.PartialOrder(ds, w, c.depth)
+	default:
+		order, err = s.rank.Order(ds, w)
+	}
 	if err != nil {
 		return false, err
 	}
-	return oracle.Check(order), nil
+	return c.oracle.Check(order), nil
 }
 
 // Angles returns the reusable m-angle polar buffer.

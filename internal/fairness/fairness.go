@@ -6,6 +6,17 @@
 // attributes, after Celis et al.) — plus prefix-fairness in the style of
 // FA*IR, boolean combinators, and an instrumentation wrapper that counts
 // oracle calls (the On term in every complexity bound of the paper).
+//
+// Two classifiers tell a probe how much of the ordering an oracle reads.
+// InspectionDepth is the longest prefix it can inspect: an oracle with a
+// known depth k must give the same verdict on any ordering whose first k
+// entries are the full ordering's first k, in order. OrderFree marks the
+// stronger contract: the verdict depends only on the SET of the first
+// InspectionDepth entries, so a probe may hand the oracle that set in any
+// order and need not sort it. An All or Any is order-free only when every
+// member is order-free and has exactly the combined depth — a shallower
+// member reads a prefix of the deeper ranking, and a prefix of an unsorted
+// set is not the top of anything.
 package fairness
 
 import (
@@ -287,8 +298,9 @@ func (pf *Prefix) K() int { return pf.k }
 
 // InspectionDepth returns the longest ordering prefix the oracle can
 // possibly inspect, or 0 when that cannot be determined (the oracle may
-// read the whole ordering). Index builders use a positive depth to rank
-// items partially — O(n + k log k) instead of O(n log n) per oracle probe.
+// read the whole ordering). Probes use a positive depth to rank items
+// partially — O(n + k log k) instead of O(n log n), or O(n) for an
+// OrderFree oracle.
 func InspectionDepth(o Oracle) int {
 	switch v := o.(type) {
 	case *TopK:
@@ -322,6 +334,49 @@ func combinedDepth(members []Oracle) int {
 		}
 	}
 	return depth
+}
+
+// OrderFree reports that the oracle's verdict depends only on which items
+// form the top-InspectionDepth(o) prefix of the ordering, not on their
+// order, so a probe may hand it that set in any order (the ranking kernel
+// ranking.Buffers.TopSet) instead of the sorted prefix. It holds for the
+// FM1 count oracle *TopK (which MaxShare, MinShare and Proportional build),
+// for Counter and Not of an order-free oracle, and for All and Any when
+// every member is order-free and inspects exactly the combined depth: in
+// All(TopK k=50, TopK k=80) the k=50 member reads the first 50 entries of
+// an 80-deep ranking, a sorted prefix, so the combination is not order-free.
+// Prefix reads its prefix position by position and Func may read anything,
+// so both report false, as does any oracle type this package does not know.
+func OrderFree(o Oracle) bool {
+	switch v := o.(type) {
+	case *TopK:
+		return true
+	case *Counter:
+		return OrderFree(v.O)
+	case Not:
+		return OrderFree(v.O)
+	case All:
+		return uniformOrderFree(v)
+	case Any:
+		return uniformOrderFree(v)
+	default:
+		return false
+	}
+}
+
+// uniformOrderFree reports that every member is order-free and inspects
+// exactly the members' combined depth (which must be known).
+func uniformOrderFree(members []Oracle) bool {
+	depth := combinedDepth(members)
+	if depth == 0 {
+		return false
+	}
+	for _, m := range members {
+		if !OrderFree(m) || InspectionDepth(m) != depth {
+			return false
+		}
+	}
+	return true
 }
 
 // Counter wraps an oracle and counts Check calls; every offline algorithm in

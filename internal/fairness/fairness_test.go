@@ -256,6 +256,55 @@ func TestInspectionDepth(t *testing.T) {
 	}
 }
 
+func TestOrderFree(t *testing.T) {
+	ds := mk(t)
+	must := func(o *TopK, err error) *TopK {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	topk4 := must(NewTopK(ds, "g", 4, []GroupBound{{Group: "a", Max: 2}}))
+	topk4b := must(NewTopK(ds, "g", 4, []GroupBound{{Group: "b", Min: 1, Max: -1}}))
+	topk6 := must(NewTopK(ds, "g", 6, []GroupBound{{Group: "a", Max: 4}}))
+	minShare := must(MinShare(ds, "g", "b", 0.4, 0.25))
+	prop := must(Proportional(ds, "g", 0.5, 0.5))
+	prefix, err := NewPrefix(ds, "g", "b", 4, 0.3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opaque := Func(func([]int) bool { return true })
+	cases := []struct {
+		name string
+		o    Oracle
+		want bool
+	}{
+		{"TopK", topk4, true},
+		{"MinShare", minShare, true},
+		{"Proportional", prop, true},
+		{"Prefix", prefix, false},
+		{"Func", opaque, false},
+		{"Counter(TopK)", &Counter{O: topk4}, true},
+		{"Counter(Prefix)", &Counter{O: prefix}, false},
+		{"Not(TopK)", Not{topk4}, true},
+		{"Not(Func)", Not{opaque}, false},
+		{"All same depth", All{topk4, topk4b}, true},
+		{"Any same depth", Any{topk4, Not{topk4b}}, true},
+		{"All mixed depths", All{topk4, topk6}, false}, // k=4 reads a prefix of the 6-deep ranking
+		{"Any mixed depths", Any{topk6, topk4}, false},
+		{"All with Prefix of equal depth", All{topk4, prefix}, false},
+		{"All with Func", All{topk4, opaque}, false},
+		{"nested All", All{All{topk4, topk4b}, &Counter{O: topk4}}, true},
+		{"empty All", All{}, false},
+	}
+	for _, c := range cases {
+		if got := OrderFree(c.o); got != c.want {
+			t.Errorf("%s: OrderFree = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestCounter(t *testing.T) {
 	c := &Counter{O: Func(func([]int) bool { return true })}
 	for i := 0; i < 7; i++ {

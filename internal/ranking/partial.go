@@ -13,17 +13,8 @@ import (
 // ties by ascending index), with the remaining entries in unspecified
 // order. It runs in O(n + k log k) expected time via quickselect instead
 // of the O(n log n) full sort — the fast path for fairness oracles that
-// inspect only a top-k prefix.
-func PartialOrder(ds *dataset.Dataset, w geom.Vector, k int) ([]int, error) {
-	// A throwaway buffer: the result aliases it, which is fine since nothing
-	// else ever sees it.
-	return new(Buffers).PartialOrder(ds, w, k)
-}
-
-// PartialOrder is ranking.PartialOrder into the reusable buffers — the
-// per-query ranking step of the batch kernels, which would otherwise
-// allocate an order and a score slice per query. The returned slice aliases
-// the buffer and is valid until the next call.
+// inspect only a top-k prefix in order. k ≥ n gives the full ordering. The
+// returned slice aliases the buffers and is valid until the next call.
 func (b *Buffers) PartialOrder(ds *dataset.Dataset, w geom.Vector, k int) ([]int, error) {
 	if k >= ds.N() {
 		return b.Order(ds, w)

@@ -35,7 +35,7 @@ func TestPartialOrderMatchesFullPrefix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		partial, err := PartialOrder(ds, w, k)
+		partial, err := new(Buffers).PartialOrder(ds, w, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestPartialOrderTies(t *testing.T) {
 		rows[i] = []float64{1}
 	}
 	ds, _ := dataset.New([]string{"x"}, rows)
-	partial, err := PartialOrder(ds, geom.Vector{1}, 5)
+	partial, err := new(Buffers).PartialOrder(ds, geom.Vector{1}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,17 +80,17 @@ func TestPartialOrderTies(t *testing.T) {
 
 func TestPartialOrderEdges(t *testing.T) {
 	ds, _ := dataset.New([]string{"x"}, [][]float64{{3}, {1}, {2}})
-	if _, err := PartialOrder(ds, geom.Vector{1}, 0); err == nil {
+	if _, err := new(Buffers).PartialOrder(ds, geom.Vector{1}, 0); err == nil {
 		t.Error("expected k≥1 error")
 	}
-	full, err := PartialOrder(ds, geom.Vector{1}, 99)
+	full, err := new(Buffers).PartialOrder(ds, geom.Vector{1}, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full[0] != 0 || full[1] != 2 || full[2] != 1 {
 		t.Errorf("k≥n should be the full order: %v", full)
 	}
-	if _, err := PartialOrder(ds, geom.Vector{1, 2}, 2); err == nil {
+	if _, err := new(Buffers).PartialOrder(ds, geom.Vector{1, 2}, 2); err == nil {
 		t.Error("expected dimension error")
 	}
 }
@@ -113,7 +113,7 @@ func BenchmarkPartialOrderVsFull(b *testing.B) {
 	})
 	b.Run("partial-k100", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := PartialOrder(ds, w, 100); err != nil {
+			if _, err := new(Buffers).PartialOrder(ds, w, 100); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -54,20 +54,23 @@ func sortByScore(order []int, s []float64) {
 	})
 }
 
-// Buffers holds reusable score and order scratch space for repeated full
-// sorts over the same dataset — the sweep's segment seeds and tie-group
-// rebuilds would otherwise allocate two slices per rebuild.
+// Buffers holds reusable score and order scratch space for repeated
+// rankings of the same dataset — the sweep's segment seeds and tie-group
+// rebuilds, and every oracle probe of the batch kernels and index builders,
+// would otherwise allocate two slices per ranking. sel is TopSet's
+// selection copy of the scores.
 type Buffers struct {
 	scores []float64
 	order  []int
+	sel    []float64
 }
 
-// fill computes scores and the identity permutation into the reusable
-// buffers — the shared front half of Order and PartialOrder. The returned
-// slices alias the buffers and are valid until the next call.
-func (b *Buffers) fill(ds *dataset.Dataset, w geom.Vector) ([]float64, []int, error) {
+// score computes every item's score into the reusable buffer (and sizes
+// the order buffer alongside it). The returned slice aliases the buffer and
+// is valid until the next call.
+func (b *Buffers) score(ds *dataset.Dataset, w geom.Vector) ([]float64, error) {
 	if len(w) != ds.D() {
-		return nil, nil, fmt.Errorf("ranking: weight dimension %d, dataset has %d attributes", len(w), ds.D())
+		return nil, fmt.Errorf("ranking: weight dimension %d, dataset has %d attributes", len(w), ds.D())
 	}
 	n := ds.N()
 	if cap(b.scores) < n {
@@ -75,9 +78,22 @@ func (b *Buffers) fill(ds *dataset.Dataset, w geom.Vector) ([]float64, []int, er
 		b.order = make([]int, n)
 	}
 	s := b.scores[:n]
-	order := b.order[:n]
-	for i := 0; i < n; i++ {
+	for i := range s {
 		s[i] = w.Dot(ds.Item(i))
+	}
+	return s, nil
+}
+
+// fill computes scores and the identity permutation into the reusable
+// buffers — the shared front half of Order and PartialOrder. The returned
+// slices alias the buffers and are valid until the next call.
+func (b *Buffers) fill(ds *dataset.Dataset, w geom.Vector) ([]float64, []int, error) {
+	s, err := b.score(ds, w)
+	if err != nil {
+		return nil, nil, err
+	}
+	order := b.order[:len(s)]
+	for i := range order {
 		order[i] = i
 	}
 	return s, order, nil
@@ -94,12 +110,16 @@ func (b *Buffers) Order(ds *dataset.Dataset, w geom.Vector) ([]int, error) {
 	return order, nil
 }
 
-// Trim releases the score/order buffers when their capacity exceeds maxItems
-// elements. Pooled buffer owners call it before parking a buffer, so one
-// pass over a giant dataset does not pin arrays of its size forever.
+// Trim releases the score, order and selection buffers when their capacity
+// exceeds maxItems elements. Pooled buffer owners call it before parking a
+// buffer, so one pass over a giant dataset does not pin arrays of its size
+// forever.
 func (b *Buffers) Trim(maxItems int) {
 	if cap(b.scores) > maxItems {
 		b.scores, b.order = nil, nil
+	}
+	if cap(b.sel) > maxItems {
+		b.sel = nil
 	}
 }
 

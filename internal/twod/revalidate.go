@@ -8,12 +8,11 @@ import (
 	"fairrank/internal/engine"
 	"fairrank/internal/fairness"
 	"fairrank/internal/geom"
-	"fairrank/internal/ranking"
 )
 
 // Revalidate probes each satisfactory interval of the index at its
-// midpoint against a (possibly updated) dataset and oracle, in
-// O(#intervals · n log n) — far cheaper than re-running the ray sweep.
+// midpoint against a (possibly updated) dataset and oracle, one ranking of
+// the dataset per interval — far cheaper than re-running the ray sweep.
 // A failed probe means the data has drifted enough that the index should
 // be rebuilt (the probe is a spot check, not a proof: an interval may also
 // have fractured internally). The paper's introduction motivates exactly
@@ -34,14 +33,18 @@ func (idx *Index) Revalidate(ds *dataset.Dataset, oracle fairness.Oracle) (engin
 	}
 	report := engine.DriftReport{Probes: len(idx.intervals)}
 	counter := &fairness.Counter{O: oracle}
+	check := engine.NewChecker(counter)
+	s := engine.GetScratch()
+	defer engine.PutScratch(s)
+	w := make(geom.Vector, 2)
 	for i, iv := range idx.intervals {
 		mid := (iv.Start + iv.End) / 2
-		w := geom.Vector{math.Cos(mid), math.Sin(mid)}
-		order, err := ranking.Order(ds, w)
+		w[0], w[1] = math.Cos(mid), math.Sin(mid)
+		fair, err := s.CheckFair(ds, check, w)
 		if err != nil {
 			return engine.DriftReport{}, err
 		}
-		if counter.Check(order) {
+		if fair {
 			report.StillSatisfactory++
 		} else {
 			report.Violations = append(report.Violations, i)
